@@ -220,6 +220,23 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5,
     )
 
 
+def _even_sector(terms, shifts, use_symmetry):
+    """Even reflection sector to run in, or None for the full basis.
+
+    use_symmetry None picks the sector exactly when the static diagonal is
+    reflection symmetric; True demands it and False declines it.
+    """
+    static = terms.static_diagonal(shifts)
+    symmetric = np.allclose(static[terms.basis.reflection], static, rtol=0.0, atol=1e-9)
+    if use_symmetry and not symmetric:
+        raise ValidationError(
+            "static diagonal is not reflection symmetric; cannot use the even sector"
+        )
+    if use_symmetry is None:
+        use_symmetry = symmetric
+    return symmetry_sector(terms.basis, "even") if use_symmetry else None
+
+
 class PreparationSimulator:
     """Reusable all-ground preparation propagator for trial pulses.
 
@@ -233,26 +250,14 @@ class PreparationSimulator:
     def __init__(self, terms, shifts=None, dt=DEFAULT_DT_US, use_symmetry=None):
         if dt <= 0 or not np.isfinite(dt):
             raise ValidationError(f"dt must be positive, got {dt}")
-        basis = terms.basis
-        static = terms.static_diagonal(shifts)
-        symmetric = bool(
-            np.allclose(static[basis.reflection], static, rtol=0.0, atol=1e-9)
-        )
-        if use_symmetry is None:
-            use_symmetry = symmetric
-        elif use_symmetry and not symmetric:
-            raise ValidationError(
-                "static diagonal is not reflection symmetric; cannot use the even sector"
-            )
+        sector = _even_sector(terms, shifts, use_symmetry)
         self.terms = terms
         self.shifts = shifts
         self.dt = float(dt)
-        self.space = symmetry_sector(basis, "even") if use_symmetry else basis
+        self.space = terms.basis if sector is None else sector
         self.engine = SampledEvolution(self.space, terms, shifts)
-        start = ground_state(basis)
-        self.initial = (
-            self.space.to_sector(start.amplitudes) if use_symmetry else start.amplitudes
-        )
+        start = ground_state(terms.basis).amplitudes
+        self.initial = start if sector is None else sector.to_sector(start)
 
     @property
     def n_sites(self):
@@ -529,17 +534,7 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None,
         s_grid = np.linspace(0.0, 1.0, spec.grid_points)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    static = terms.static_diagonal(shifts)
-    symmetric = bool(
-        np.allclose(static[terms.basis.reflection], static, rtol=0.0, atol=1e-9)
-    )
-    if use_symmetry is None:
-        use_symmetry = symmetric
-    elif use_symmetry and not symmetric:
-        raise ValidationError(
-            "static diagonal is not reflection symmetric; cannot use the even sector"
-        )
-    space = symmetry_sector(terms.basis, "even") if use_symmetry else None
+    space = _even_sector(terms, shifts, use_symmetry)
     if space is None:
         coupling = terms.coupling
         excitations = terms.excitations

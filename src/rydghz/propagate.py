@@ -266,8 +266,11 @@ def lowest_spectrum(terms, shifts, omega_rad, delta_rad, m, psi=None, space=None
         evals, vecs = evals[:m], vecs[:, :m]
     else:
         v0 = np.full(diag_dim, 1.0 / np.sqrt(diag_dim))
+        # ARPACK's default subspace (2m+1) stalls on the clustered spectra
+        # of weak drives; a wider fixed subspace converges there.
+        ncv = min(diag_dim, max(2 * m + 1, 128))
         try:
-            evals, vecs = eigsh(h, k=m, which="SA", v0=v0, tol=1e-10)
+            evals, vecs = eigsh(h, k=m, which="SA", v0=v0, tol=1e-10, ncv=ncv)
         except ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(evals)

@@ -18,11 +18,7 @@ from .basis import Basis, ChainGeometry, SymmetrizedBasis, enumerate_basis
 from .controls import constant_pulse
 from .detection import sample_shots
 from .errors import FitError, ValidationError
-from .hamiltonian import (
-    build_hamiltonian,
-    drive_coupling,
-    staggered_field_generator,
-)
+from .hamiltonian import drive_coupling, staggered_field_generator
 from .propagate import (
     DEFAULT_DT_US,
     StateVector,
@@ -132,12 +128,15 @@ def parity_expectation(psi):
 # resonant readout rotation
 
 
-def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US):
-    """Resonant constant drive under the full interacting Hamiltonian."""
+def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
+    """Resonant constant drive under the full interacting Hamiltonian.
+
+    coupling replaces the all-site drive template, as in `evolve`.
+    """
     if duration_us == 0.0:
         return psi.copy()
     pulse = constant_pulse(duration_us, omega_mhz)
-    return evolve(psi, pulse, terms, shifts=None, dt=dt)
+    return evolve(psi, pulse, terms, shifts=None, dt=dt, coupling=coupling)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,9 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
 
     The contrast (E_plus - E_minus)/2 between opposite-phase GHZ inputs
     equals Re <U Abar|P|U A>, so a single pair of evolutions of |A> and
-    |Abar> yields the whole curve.
+    |Abar> yields the whole curve.  Only one history is stored: P U|A> at
+    every step of the first evolution, projected onto U|Abar> step by step
+    while the second one runs.
     """
     basis = terms.basis
     if basis.n_sites % 2:
@@ -173,18 +174,19 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     parity = basis.parity.astype(float)
     pulse = constant_pulse(t_max_us, omega_mhz)
 
-    histories = []
-    for start in (i_a, i_abar):
+    def start(index):
         psi0 = np.zeros(basis.dim, dtype=complex)
-        psi0[start] = 1.0
-        snapshots = []
-        evolve(
-            StateVector(basis, psi0), pulse, terms, dt=dt,
-            observer=lambda t, amps: snapshots.append(amps.copy()),
-        )
-        histories.append(np.asarray(snapshots))
-    ua, uabar = histories
-    q_curve = np.einsum("ti,i,ti->t", np.conj(uabar), parity, ua)
+        psi0[index] = 1.0
+        return StateVector(basis, psi0)
+
+    parity_ua = []
+    evolve(start(i_a), pulse, terms, dt=dt,
+           observer=lambda t, amps: parity_ua.append(parity * amps))
+    q_curve = []
+    pending = iter(parity_ua)
+    evolve(start(i_abar), pulse, terms, dt=dt,
+           observer=lambda t, amps: q_curve.append(np.vdot(amps, next(pending))))
+    q_curve = np.asarray(q_curve)
     times = dt * np.arange(1, len(q_curve) + 1)
     contrast_curve = q_curve.real
     best = int(np.argmax(contrast_curve))
@@ -199,16 +201,21 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     )
 
 
-def _dense_unitary(terms, omega_mhz, duration_us):
-    h = build_hamiltonian(terms, None, mhz_to_angular(omega_mhz), 0.0).toarray()
-    return expm(-1j * h * duration_us)
+def _readout_applier(terms, duration_us, omega_mhz, dt, coupling=None):
+    """Function psi -> U psi for a constant resonant drive on the chain.
 
-
-def _readout_applier(terms, duration_us, omega_mhz, dt):
-    """Function psi -> U psi for the constant resonant readout."""
+    U = exp(-i T (omega * coupling + static diagonal)), with the all-site
+    template of `terms` unless `coupling` restricts or rephases the drive.
+    Chains up to _DENSE_UNITARY_CUTOFF states get one dense expm reused
+    for every state; longer ones step each state through `apply_ux`.
+    """
     basis = terms.basis
     if basis.dim <= _DENSE_UNITARY_CUTOFF:
-        u = _dense_unitary(terms, omega_mhz, duration_us)
+        if coupling is None:
+            coupling = terms.coupling
+        h = (mhz_to_angular(omega_mhz) * coupling).toarray()
+        h += np.diag(terms.static_diagonal(None))
+        u = expm(-1j * h * duration_us)
 
         def apply(psi):
             return StateVector(basis, u @ psi.amplitudes)
@@ -216,7 +223,8 @@ def _readout_applier(terms, duration_us, omega_mhz, dt):
         return apply
 
     def apply(psi):
-        return apply_ux(psi, terms, duration_us, omega_mhz=omega_mhz, dt=dt)
+        return apply_ux(psi, terms, duration_us, omega_mhz=omega_mhz, dt=dt,
+                        coupling=coupling)
 
     return apply
 
@@ -748,25 +756,6 @@ class BellDistributionResult:
     fidelity_bound: float
 
 
-def _edge_rotation_applier(terms, readout_duration_us, readout_omega_mhz, dt):
-    """phi -> (psi -> psi) for a drive restricted to the two edge sites."""
-    basis = terms.basis
-    n = basis.n_sites
-    static_diag = terms.static_diagonal(None)
-    omega_rad = mhz_to_angular(readout_omega_mhz)
-
-    def applier(phi):
-        coupling = drive_coupling(basis, sites=(1, n), phase=float(phi))
-        if basis.dim <= _DENSE_UNITARY_CUTOFF:
-            h = (omega_rad * coupling).toarray() + np.diag(static_diag)
-            u = expm(-1j * h * readout_duration_us)
-            return lambda psi: StateVector(basis, u @ psi.amplitudes)
-        pulse = constant_pulse(readout_duration_us, readout_omega_mhz)
-        return lambda psi: evolve(psi, pulse, terms, coupling=coupling, dt=dt)
-
-    return applier
-
-
 def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
                                preparation_shifts=None, edge_shift_mhz=6.0,
                                readout_omega_mhz=5.0, readout_duration_us=None,
@@ -781,6 +770,11 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     converts it to the 00/11 form whose patterns (all ground, both edges
     excited) are reported; a second pi/2 rotation at variable phase then
     produces the parity fringe whose amplitude bounds the pair coherence.
+
+    Both rotations share one propagator U(0): the phase-phi edge drive is
+    D C(0) D^dag with D = exp(-i phi (n_1 + n_N)), which commutes with the
+    static diagonal, so U(phi) = D U(0) D^dag and, the edge parity being
+    diagonal too, each fringe point is the parity of U(0) D^dag psi.
     """
     basis = terms.basis
     n = basis.n_sites
@@ -821,17 +815,20 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         phases = np.asarray(phases, dtype=float)
     if readout_duration_us is None:
         readout_duration_us = 0.25 / readout_omega_mhz  # omega * t = pi/2
-    rotation_at = _edge_rotation_applier(terms, readout_duration_us,
-                                         readout_omega_mhz, dt)
-    converted = rotation_at(0.0)(psi)
+    rotate = _readout_applier(terms, readout_duration_us, readout_omega_mhz, dt,
+                              coupling=drive_coupling(basis, sites=(1, n)))
+    converted = rotate(psi)
     converted_probs = converted.populations()
     site_populations = converted_probs @ bits
     pop_ground = float(converted_probs[basis.index_of(0)])
     pop_edges = float(converted_probs[basis.index_of((1 << (n - 1)) | 1)])
-    edge_parity_sign = np.where((bits[:, 0] + bits[:, -1]) % 2 == 0, 1.0, -1.0)
+    edge_excitations = bits[:, 0] + bits[:, -1]
+    edge_parity_sign = np.where(edge_excitations % 2 == 0, 1.0, -1.0)
     edge_parity = np.empty(phases.size)
     for j, phi in enumerate(phases):
-        probed = rotation_at(phi)(converted)
+        # U(phi) = D U(0) D^dag; the outer D drops out of the diagonal parity
+        rephased = np.exp(1j * phi * edge_excitations) * converted.amplitudes
+        probed = rotate(StateVector(basis, rephased))
         edge_parity[j] = float(edge_parity_sign @ probed.populations())
     fringe_fit = _fit_cosine(phases, edge_parity, omega=2.0)
     pattern_population = pop_ground + pop_edges

@@ -196,3 +196,23 @@ def test_spectrum_sparse_path_matches_dense():
     h = build_hamiltonian(terms, shifts, TWO_PI * 5.0, TWO_PI * 2.0).toarray()
     ref = np.linalg.eigvalsh(h)[:4]
     assert np.allclose(sl.ground_energy + sl.energies, ref, atol=1e-6)
+
+
+def test_spectrum_sparse_path_converges_at_weak_drive():
+    # s = 0.005 of the default local-adiabatic ramp: omega ~ 0 leaves a
+    # clustered low spectrum in the N=16 even sector (above the dense cutoff)
+    from rydghz.hamiltonian import build_hamiltonian
+    from rydghz.optimize import RampSpec
+
+    basis = enumerate_basis(ChainGeometry(16))
+    terms = build_terms(basis)
+    shifts = LocalShifts.preparation_default(16)
+    sector = symmetry_sector(basis, "even")
+    spec = RampSpec(kind="local_adiabatic", total_time_us=1.1)
+    omega = mhz_to_angular(spec.omega_mhz(0.005))
+    delta = mhz_to_angular(spec.delta_mhz(0.005))
+    sl = lowest_spectrum(terms, shifts, omega, delta, m=16, space=sector)
+    h = sector.reduce_operator(build_hamiltonian(terms, shifts, omega, delta))
+    ref = np.linalg.eigvalsh(h.toarray())[:16]
+    assert sector.dim > 600
+    assert np.allclose(sl.ground_energy + sl.energies, ref, rtol=0.0, atol=1e-8)

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydghz.basis import ChainGeometry, enumerate_basis
-from rydghz.controls import standard_guess_pulse
+from rydghz.controls import constant_pulse, standard_guess_pulse
 from rydghz.detection import DetectionModel
 from rydghz.errors import FitError, ValidationError
-from rydghz.hamiltonian import build_terms
-from rydghz.propagate import StateVector, basis_state, ghz_state
+from rydghz.hamiltonian import build_terms, drive_coupling
+from rydghz.propagate import StateVector, basis_state, evolve, ghz_state
 from rydghz.protocols import (
     CoherenceBound,
     apply_ux,
@@ -176,6 +177,20 @@ class TestUxCalibration:
             optimal_ux_duration(build_terms(basis12)).contrast,
         ]
         assert contrasts[0] > contrasts[1] > contrasts[2]
+
+    def test_quality_and_phase_match_rotated_orderings(self, chain8):
+        basis, terms = chain8
+        ux = optimal_ux_duration(terms)
+        i_a, i_abar = basis.ghz_indices()
+        rotated = []
+        for index in (i_a, i_abar):
+            amps = np.zeros(basis.dim, dtype=complex)
+            amps[index] = 1.0
+            rotated.append(apply_ux(StateVector(basis, amps), terms, ux.duration_us))
+        ua, uabar = (psi.amplitudes for psi in rotated)
+        q = np.vdot(uabar, basis.parity * ua)
+        assert ux.quality * np.exp(1j * ux.phase_offset) == pytest.approx(q, abs=1e-10)
+        assert ux.contrast == pytest.approx(q.real, abs=1e-10)
 
     def test_zero_duration_identity(self, chain4):
         basis, terms = chain4
@@ -456,6 +471,55 @@ class TestBellDistribution:
                                                            abs=0.05)
         # the model explains the whole fringe, so it is 2 pi periodic
         assert fit.residual_rms < 0.05
+
+    def test_fringe_matches_per_phase_rotation(self, distributed, chain8):
+        # dense path: each fringe point against its own phase-phi propagator
+        basis, terms = chain8
+        n = basis.n_sites
+        omega = TWO_PI * 5.0
+        duration = 0.25 / 5.0
+        static = np.diag(terms.static_diagonal(None))
+        bits = basis.bits_matrix()
+        sign = np.where((bits[:, 0] + bits[:, -1]) % 2 == 0, 1.0, -1.0)
+        converted = distributed.state_converted.amplitudes
+        for phi, value in zip(distributed.phases, distributed.edge_parity):
+            coupling = drive_coupling(basis, sites=(1, n), phase=phi).toarray()
+            u = expm(-1j * duration * (omega * coupling + static))
+            expected = sign @ (np.abs(u @ converted) ** 2)
+            assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_krylov_fringe_matches_rephased_drive(self):
+        basis = enumerate_basis(ChainGeometry(16))  # dim 2584: Krylov path
+        terms = build_terms(basis)
+        n = basis.n_sites
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        phases = np.array([0.4, 1.3, 2.9])
+        out = bell_distribution_protocol(
+            None, None, terms, initial_state=StateVector(basis, amps).normalized(),
+            phases=phases,
+        )
+        bits = basis.bits_matrix()
+        sign = np.where((bits[:, 0] + bits[:, -1]) % 2 == 0, 1.0, -1.0)
+        pulse = constant_pulse(0.25 / 5.0, 5.0)
+        for phi, value in zip(phases, out.edge_parity):
+            coupling = drive_coupling(basis, sites=(1, n), phase=phi)
+            probed = evolve(out.state_converted, pulse, terms, coupling=coupling)
+            assert value == pytest.approx(sign @ probed.populations(), abs=1e-10)
+
+    def test_one_dense_propagator_per_protocol(self, chain8, monkeypatch):
+        import rydghz.protocols as protocols
+
+        basis, terms = chain8
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(protocols, "expm", counting_expm)
+        bell_distribution_protocol(None, None, terms, initial_state=ghz_state(basis))
+        assert len(calls) == 1
 
     def test_bound_below_exact(self, distributed):
         assert distributed.fidelity_bound <= distributed.exact_bell_fidelity + 0.01
