@@ -8,10 +8,10 @@ by staggered magnetization and excitation number jointly), whose group-to
 distribution is recovered by least squares on the probability simplex.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .basis import Basis
 from .errors import InferenceError, ValidationError
@@ -148,12 +148,18 @@ def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0,
     return ShotSet(basis.n_sites, bits, meta)
 
 
+def _binomial_pmf(n, p):
+    """P(k successes in n trials), k = 0..n, in closed form."""
+    k = np.arange(n + 1)
+    return np.array([math.comb(n, j) for j in k], dtype=float) * p**k * (1.0 - p) ** (n - k)
+
+
 def _binomial_count_confusion(n_slots, p10, p01):
     """T[m, n] = P(detect m ones | n true ones) over `n_slots` sites."""
     t = np.zeros((n_slots + 1, n_slots + 1))
     for n in range(n_slots + 1):
-        kept = binom.pmf(np.arange(n + 1), n, 1.0 - p01)
-        raised = binom.pmf(np.arange(n_slots - n + 1), n_slots - n, p10)
+        kept = _binomial_pmf(n, 1.0 - p01)
+        raised = _binomial_pmf(n_slots - n, p10)
         t[:, n] = np.convolve(kept, raised)
     return t
 

@@ -156,6 +156,11 @@ class HamiltonianTerms:
         """Interaction minus local-shift part (everything but the sweep detuning)."""
         return self.interaction_diagonal - self.shift_diagonal(shifts)
 
+    def static_is_reflection_symmetric(self, shifts=None):
+        """Whether the static diagonal is invariant under the chain reflection."""
+        static = self.static_diagonal(shifts)
+        return bool(np.allclose(static[self.basis.reflection], static, rtol=0.0, atol=1e-9))
+
 
 def build_terms(basis, v_mhz=V_NN_DEFAULT_MHZ, bond_factors=None):
     return HamiltonianTerms(basis, v_mhz=v_mhz, bond_factors=bond_factors)

@@ -226,8 +226,7 @@ def _even_sector(terms, shifts, use_symmetry):
     use_symmetry None picks the sector exactly when the static diagonal is
     reflection symmetric; True demands it and False declines it.
     """
-    static = terms.static_diagonal(shifts)
-    symmetric = np.allclose(static[terms.basis.reflection], static, rtol=0.0, atol=1e-9)
+    symmetric = terms.static_is_reflection_symmetric(shifts)
     if use_symmetry and not symmetric:
         raise ValidationError(
             "static diagonal is not reflection symmetric; cannot use the even sector"

@@ -19,12 +19,7 @@ from .controls import constant_pulse
 from .detection import sample_shots
 from .errors import FitError, ValidationError
 from .hamiltonian import drive_coupling, staggered_field_generator
-from .propagate import (
-    DEFAULT_DT_US,
-    StateVector,
-    evolve,
-    evolve_under_diagonal,
-)
+from .propagate import DEFAULT_DT_US, StateVector, evolve
 from .units import TWO_PI, mhz_to_angular
 
 _DENSE_UNITARY_CUTOFF = 1200
@@ -399,6 +394,39 @@ def default_scan_times(n_sites, delta_p_mhz, n_times=None):
     return period * np.arange(n) / n
 
 
+def _rotated_components(state, generator, apply_readout, reflect):
+    """Readout images U psi_M of the state's staggered-magnetization parts.
+
+    psi_M keeps the amplitudes with staggered magnetization M; only nonzero
+    parts are rotated.  With `reflect` and a reflection-even state
+    (|R psi - psi| <= 1e-12, which bounds the parity error by about twice
+    that), U psi_{-M} = R U psi_M, so only M >= 0 go through the readout.
+    Returns the output space, the images as columns, and the probe rate
+    (the generator value, rad/us) of each column.
+    """
+    basis = state.space
+    amps = state.amplitudes
+    m = basis.staggered_m
+    even = reflect and np.linalg.norm(amps[basis.reflection] - amps) <= 1e-12
+    values = np.unique(m[amps != 0])
+    if values.size == 0:
+        raise ValidationError("cannot scan the zero vector")
+    columns, rates = [], []
+    for value in values:
+        if even and value < 0:
+            continue
+        mask = m == value
+        rotated = _as_full_state(apply_readout(StateVector(basis, np.where(mask, amps, 0))))
+        space = rotated.space
+        rate = generator[mask][0]
+        columns.append(rotated.amplitudes)
+        rates.append(rate)
+        if even and value > 0:
+            columns.append(rotated.amplitudes[space.reflection])
+            rates.append(-rate)
+    return space, np.column_stack(columns), np.asarray(rates)
+
+
 def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=None,
                             n_times=None, mode="exact", detection=None,
                             n_shots=1000, seed=0, grouping=None, dt=DEFAULT_DT_US,
@@ -411,7 +439,21 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     mode 'exact' records expectation values; 'shots-raw' draws bitstrings
     through a DetectionModel and averages their parities; 'shots-inferred'
     first inverts the grouped detection confusion (see detection module).
+
+    The probe is diagonal in the staggered magnetization M, with rate
+    g_M = pi delta_p M, so psi(T) = sum_M c_M(T) psi_M with
+    c_M(T) = exp(-i g_M T), and the readout U is linear.  Each nonzero
+    component is rotated once into a column of X = [U psi_M] (at most N+1
+    columns, whatever the number of times); every time then costs small
+    products: the rotated state is X c(T) and the exact parity is
+    E(T) = c(T)^dag G c(T) with G = X^dag P X.  Shot modes sample from
+    X c(T).  When the state is reflection-even and the readout's static
+    diagonal is reflection symmetric, U psi_{-M} = R U psi_M, so only the
+    M >= 0 components are rotated (N/2+1 readouts).  Callable readouts
+    get no such shortcut and must be linear maps.
     """
+    if mode not in ("exact", "shots-raw", "shots-inferred"):
+        raise ValidationError(f"unknown scan mode {mode!r}")
     is_rho = not isinstance(state, StateVector)
     if is_rho:
         rho = np.asarray(state, dtype=complex)
@@ -435,7 +477,6 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
         times_us = np.asarray(times_us, dtype=float)
     generator = staggered_field_generator(basis, delta_p_mhz)
 
-    apply_readout = None
     if callable(readout):
         apply_readout = readout
     else:
@@ -467,39 +508,38 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
             parity_values[j] = float(np.sum(rho_t.T * p_rot).real)
         sigma = None
     else:
-        parity_values = np.empty(times_us.size)
+        reflect = not callable(readout) and terms.static_is_reflection_symmetric()
+        space, x, rates = _rotated_components(state, generator, apply_readout, reflect)
+        phases = np.exp(-1j * np.outer(times_us, rates))
         sigma = np.empty(times_us.size) if mode == "shots-raw" else None
-        if mode not in ("exact", "shots-raw", "shots-inferred"):
-            raise ValidationError(f"unknown scan mode {mode!r}")
-        if mode == "shots-inferred":
-            from .detection import (
-                DetectionModel,
-                MagnetizationExcitationGrouping,
-                infer_true_distribution,
-                parity_from_distribution,
-            )
-
-            grouping = grouping or MagnetizationExcitationGrouping(n)
-            detection = detection or DetectionModel()
-            confusion = grouping.confusion(detection)
-        elif mode == "shots-raw":
+        if mode == "exact":
+            gram = x.conj().T @ (space.parity[:, None] * x)
+            parity_values = np.einsum("tm,mk,tk->t", phases.conj(), gram, phases).real
+        else:
             from .detection import DetectionModel
 
             detection = detection or DetectionModel()
-        for j, t in enumerate(times_us):
-            rotated = apply_readout(evolve_under_diagonal(state, generator, t))
-            if mode == "exact":
-                parity_values[j] = parity_expectation(rotated)
-                continue
-            shots = sample_shots(rotated, n_shots, model=detection, seed=seed + j)
-            if mode == "shots-raw":
-                per_shot = shots.parities().astype(float)
-                parity_values[j] = float(per_shot.mean())
-                sigma[j] = float(per_shot.std(ddof=1) / np.sqrt(n_shots))
-            else:
-                observed = grouping.observed_distribution(shots)
-                inferred = infer_true_distribution(observed, confusion).distribution
-                parity_values[j] = parity_from_distribution(inferred, grouping)
+            if mode == "shots-inferred":
+                from .detection import (
+                    MagnetizationExcitationGrouping,
+                    infer_true_distribution,
+                    parity_from_distribution,
+                )
+
+                grouping = grouping or MagnetizationExcitationGrouping(n)
+                confusion = grouping.confusion(detection)
+            parity_values = np.empty(times_us.size)
+            for j, c in enumerate(phases):
+                shots = sample_shots(StateVector(space, x @ c), n_shots, model=detection,
+                                     seed=seed + j)
+                if mode == "shots-raw":
+                    per_shot = shots.parities().astype(float)
+                    parity_values[j] = float(per_shot.mean())
+                    sigma[j] = float(per_shot.std(ddof=1) / np.sqrt(n_shots))
+                else:
+                    observed = grouping.observed_distribution(shots)
+                    inferred = infer_true_distribution(observed, confusion).distribution
+                    parity_values[j] = parity_from_distribution(inferred, grouping)
 
     frequency_mhz = n * delta_p_mhz
     fit = fit_fixed_frequency(times_us, parity_values, frequency_mhz)

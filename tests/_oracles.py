@@ -71,7 +71,11 @@ def dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad, v_mhz=24.0,
 
 def dense_evolve(basis, pulse, shifts_mhz, psi0, dt, v_mhz=24.0,
                  interaction_range=3):
-    """Midpoint-sampled evolution with dense per-step matrix exponentials."""
+    """Midpoint-sampled evolution with dense per-step matrix exponentials.
+
+    Each step exponentiates the Hermitian H through its eigendecomposition,
+    exp(-i h H) = V exp(-i h w) V^dag.
+    """
     tau = pulse.tau
     n_steps = max(1, int(round(tau / dt)))
     h_step = tau / n_steps
@@ -82,7 +86,8 @@ def dense_evolve(basis, pulse, shifts_mhz, psi0, dt, v_mhz=24.0,
             basis, shifts_mhz, float(omega_rad), float(delta_rad),
             v_mhz=v_mhz, interaction_range=interaction_range,
         )
-        amps = scipy.linalg.expm(-1j * h_step * h) @ amps
+        w, v = np.linalg.eigh(h)
+        amps = v @ (np.exp(-1j * h_step * w) * (v.conj().T @ amps))
     return amps
 
 

@@ -76,6 +76,22 @@ class TestCountConfusion:
         confusion = ExcitationGrouping(8).confusion(DetectionModel().perfect())
         assert np.allclose(confusion, np.eye(9))
 
+    def test_closed_form_matches_scipy_binomial(self):
+        from scipy.stats import binom
+
+        from rydghz.detection import _binomial_count_confusion
+
+        for p10, p01 in ((0.0063, 0.0227), (0.0, 0.0), (0.3, 0.45), (1e-4, 0.2)):
+            for n_slots in range(11):
+                confusion = _binomial_count_confusion(n_slots, p10, p01)
+                expected = np.column_stack([
+                    np.convolve(binom.pmf(np.arange(n + 1), n, 1.0 - p01),
+                                binom.pmf(np.arange(n_slots - n + 1), n_slots - n, p10))
+                    for n in range(n_slots + 1)
+                ])
+                assert np.max(np.abs(confusion - expected)) <= 1e-14
+                assert np.allclose(confusion.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
+
 
 class TestJointGrouping:
     def test_group_count_and_order(self):

@@ -6,10 +6,22 @@ from scipy.linalg import expm
 
 from rydghz.basis import ChainGeometry, enumerate_basis
 from rydghz.controls import constant_pulse, standard_guess_pulse
-from rydghz.detection import DetectionModel
+from rydghz.detection import DetectionModel, sample_shots
 from rydghz.errors import FitError, ValidationError
-from rydghz.hamiltonian import build_terms, drive_coupling
-from rydghz.propagate import StateVector, basis_state, evolve, ghz_state
+from rydghz.hamiltonian import (
+    LocalShifts,
+    build_terms,
+    drive_coupling,
+    staggered_field_generator,
+)
+from rydghz.optimize import PreparationSimulator, RampSpec, ramp_pulse
+from rydghz.propagate import (
+    StateVector,
+    basis_state,
+    evolve,
+    evolve_under_diagonal,
+    ghz_state,
+)
 from rydghz.protocols import (
     CoherenceBound,
     apply_ux,
@@ -362,6 +374,138 @@ class TestParityScan:
         assert len(data_lines) == scan.times_us.size
         first_time = float(data_lines[0].split(",")[0])
         assert first_time == scan.times_us[0]
+
+
+def _prepared_state(basis, terms):
+    """Short linear-ramp preparation; it runs in the even sector."""
+    sim = PreparationSimulator(terms, LocalShifts.preparation_default(basis.n_sites),
+                               dt=0.005)
+    return sim.final_state(ramp_pulse(RampSpec(kind="linear", total_time_us=0.4)))
+
+
+def _even_random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    amps = amps + amps[basis.reflection]
+    return StateVector(basis, amps / np.linalg.norm(amps))
+
+
+def _dense_readout(terms, duration_us, omega_mhz=5.0):
+    h = TWO_PI * omega_mhz * terms.coupling.toarray() + np.diag(terms.static_diagonal())
+    u = expm(-1j * duration_us * h)
+    return lambda psi: StateVector(psi.space, u @ psi.amplitudes)
+
+
+def _krylov_readout(terms, duration_us, dt, omega_mhz=5.0):
+    return lambda psi: apply_ux(psi, terms, duration_us, omega_mhz=omega_mhz, dt=dt)
+
+
+def _per_time_parities(state, delta_p_mhz, times_us, rotate):
+    """Reference: accumulate the probe phase, rotate, and measure, per time."""
+    psi = state.in_full_basis()
+    generator = staggered_field_generator(psi.space, delta_p_mhz)
+    return np.array([
+        parity_expectation(rotate(evolve_under_diagonal(psi, generator, t)))
+        for t in times_us
+    ])
+
+
+class TestHarmonicScan:
+    """The component-wise scan against a per-time readout loop."""
+
+    DURATION_US = 0.07
+
+    def _check(self, state, terms, rotate, dt=0.001, n_times=None):
+        n = terms.basis.n_sites
+        scan = parity_oscillation_scan(state, terms, 3.7, readout=self.DURATION_US,
+                                       n_times=n_times or 2 * n + 2, dt=dt)
+        expected = _per_time_parities(state, 3.7, scan.times_us, rotate)
+        assert np.max(np.abs(scan.parity - expected)) <= 1e-10
+
+    def test_dense_readout_n8(self, chain8):
+        basis, terms = chain8
+        rotate = _dense_readout(terms, self.DURATION_US)
+        self._check(_prepared_state(basis, terms), terms, rotate)
+        self._check(ghz_state(basis, phi=0.6), terms, rotate)
+
+    def test_krylov_readout_n16(self):
+        basis = enumerate_basis(ChainGeometry(16))
+        terms = build_terms(basis)
+        assert basis.dim == 2584
+        rotate = _krylov_readout(terms, self.DURATION_US, dt=0.035)
+        self._check(_prepared_state(basis, terms), terms, rotate, dt=0.035)
+        self._check(ghz_state(basis, phi=0.6), terms, rotate, dt=0.035)
+
+    def test_asymmetric_bond_factors(self):
+        # Bond factors only act on adjacent excitations, so the basis must
+        # admit one such pair for them to break the reflection symmetry.
+        for n, dt in ((8, 0.001), (16, 0.035)):
+            basis = enumerate_basis(ChainGeometry(n, max_adjacent_pairs=1))
+            terms = build_terms(basis, bond_factors=np.linspace(0.8, 1.2, n - 1))
+            assert not terms.static_is_reflection_symmetric()
+            if basis.dim <= 1200:
+                rotate = _dense_readout(terms, self.DURATION_US)
+            else:
+                rotate = _krylov_readout(terms, self.DURATION_US, dt)
+            self._check(_even_random_state(basis, seed=n), terms, rotate, dt=dt)
+
+    def test_callable_readout(self, chain8):
+        basis, terms = chain8
+        ideal = ideal_rotation_readout(basis)
+        for psi in (_prepared_state(basis, terms), ghz_state(basis, phi=0.6)):
+            scan = parity_oscillation_scan(psi, terms, 3.7, readout=ideal, n_times=18)
+            expected = _per_time_parities(psi, 3.7, scan.times_us, ideal)
+            assert np.max(np.abs(scan.parity - expected)) <= 1e-10
+
+    def test_readouts_per_component_not_per_time(self, monkeypatch):
+        import rydghz.protocols as protocols
+
+        basis = enumerate_basis(ChainGeometry(16))
+        terms = build_terms(basis)
+        psi = _prepared_state(basis, terms)
+        calls = []
+        original = protocols.apply_ux
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "apply_ux", counting)
+        counts = []
+        for n_times in (34, 50):
+            calls.clear()
+            parity_oscillation_scan(psi, terms, 3.7, readout=self.DURATION_US,
+                                    n_times=n_times, dt=0.035)
+            counts.append(len(calls))
+        assert counts[0] <= 16 // 2 + 1
+        assert counts[0] == counts[1]
+
+    def test_shots_raw_matches_per_time_sampling(self, chain8):
+        basis, terms = chain8
+        psi = _prepared_state(basis, terms).in_full_basis()
+        model = DetectionModel()
+        scan = parity_oscillation_scan(psi, terms, 3.7, readout=self.DURATION_US,
+                                       n_times=18, mode="shots-raw", detection=model,
+                                       n_shots=500, seed=40)
+        rotate = _dense_readout(terms, self.DURATION_US)
+        generator = staggered_field_generator(basis, 3.7)
+        expected = [
+            sample_shots(rotate(evolve_under_diagonal(psi, generator, t)), 500,
+                         model=model, seed=40 + j).parities().mean()
+            for j, t in enumerate(scan.times_us)
+        ]
+        np.testing.assert_array_equal(scan.parity, expected)
+
+    def test_mode_checked_before_calibration(self, chain8, monkeypatch):
+        import rydghz.protocols as protocols
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before checking the mode")
+
+        monkeypatch.setattr(protocols, "optimal_ux_duration", no_calibration)
+        basis, terms = chain8
+        with pytest.raises(ValidationError, match="unknown scan mode"):
+            parity_oscillation_scan(ghz_state(basis), terms, 3.7, mode="telepathy")
 
 
 class TestCorrelations:
