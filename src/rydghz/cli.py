@@ -262,12 +262,17 @@ def cmd_parity_scan(ctx, args):
     from .protocols import (
         coherence_lower_bound,
         dominant_frequency,
+        optimal_ux_duration,
         parity_oscillation_scan,
     )
 
+    if args.shots is not None and args.shots <= 0:
+        raise ValidationError(f"n_shots must be positive, got {args.shots}")
     basis, terms = _chain(args.n_sites, args.v_nn)
     state = _prepared_state(ctx, args, basis, terms)
-    scan = parity_oscillation_scan(state, terms, args.delta_p,
+    # One calibrated readout serves the exact and the sampled scan.
+    readout = optimal_ux_duration(terms)
+    scan = parity_oscillation_scan(state, terms, args.delta_p, readout=readout,
                                    n_times=args.n_times, dt=args.dt)
     bound = coherence_lower_bound(scan)
     ctx.emit_text("parity_scan.csv", scan.to_table())
@@ -283,11 +288,9 @@ def cmd_parity_scan(ctx, args):
     ]
 
     if args.shots is not None:
-        if args.shots <= 0:
-            raise ValidationError(f"n_shots must be positive, got {args.shots}")
         model = DetectionModel(args.p10, args.p01)
         sampled = parity_oscillation_scan(
-            state, terms, args.delta_p, n_times=args.n_times, dt=args.dt,
+            state, terms, args.delta_p, readout=readout, n_times=args.n_times, dt=args.dt,
             mode="shots-inferred", detection=model, n_shots=args.shots,
             seed=ctx.seed,
         )

@@ -99,26 +99,9 @@ class HamiltonianTerms:
         self.basis = basis
         self.v_mhz = float(v_mhz)
         self.bond_factors = bond_factors
-        self.coupling = self._build_coupling()
+        self.coupling = drive_coupling(basis)
         self.excitations = basis.excitations.astype(float)
         self.interaction_diagonal = self._build_interaction()
-
-    def _build_coupling(self):
-        basis = self.basis
-        configs = basis.configs
-        rows = []
-        cols = []
-        for b in range(basis.n_sites):
-            flipped = configs ^ (1 << b)
-            pos = np.searchsorted(configs, flipped)
-            pos = np.clip(pos, 0, basis.dim - 1)
-            ok = configs[pos] == flipped
-            rows.append(np.nonzero(ok)[0])
-            cols.append(pos[ok])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.full(rows.shape, 0.5)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
 
     def _build_interaction(self):
         basis = self.basis

@@ -1,11 +1,14 @@
 """Time evolution and low-lying spectra on truncated bases.
 
 Pulses are integrated with piecewise-constant midpoint sampling: the
-controls are held at their value at the center of each dt step and each
-step is applied with a Lanczos (Krylov) matrix exponential at a fixed
-per-step tolerance.  Diagonal generators are advanced with exact phases.
+controls are sampled once per run, at the center of every dt step, and
+held there for the step.  Each step is applied with a Lanczos (Krylov)
+matrix exponential at a fixed per-step tolerance; the Lanczos basis is
+kept orthogonal by two classical Gram-Schmidt passes per new vector.
+Diagonal generators are advanced with exact phases.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,42 +94,39 @@ def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
                       start_check=3):
     """exp(-1j*dt*H) @ vec for Hermitian H given through `matvec`.
 
-    Lanczos with full reorthogonalization; the a-posteriori error estimate
-    dt * beta_m * |u_m| must drop below `tol` (relative to |vec|) or
-    PropagationError is raised.  Returns (result, krylov_dim).
+    Lanczos with full reorthogonalization: each new vector is projected
+    off the whole basis by classical Gram-Schmidt applied twice, and the
+    first pass's last coefficient is the Lanczos alpha.  The a-posteriori
+    error estimate dt * beta_m * |u_m| must drop below `tol` (relative to
+    |vec|) or PropagationError is raised.  Returns (result, krylov_dim).
     """
-    nrm = np.linalg.norm(vec)
+    nrm = math.sqrt(np.vdot(vec, vec).real)
     if nrm == 0.0 or dt == 0.0:
         return vec.astype(complex, copy=True), 0
     dim = vec.size
     max_dim = min(max_dim, dim)
-    v = np.empty((max_dim + 1, dim), dtype=complex)
+    v = np.empty((max_dim, dim), dtype=complex)
     v[0] = vec / nrm
-    alphas = []
-    betas = []
+    tridiag = np.zeros((max_dim, max_dim))
     for j in range(max_dim):
         w = matvec(v[j])
-        a = float(np.real(np.vdot(v[j], w)))
-        w = w - a * v[j]
-        if j > 0:
-            w = w - betas[-1] * v[j - 1]
-        # One full reorthogonalization pass keeps the small factorization clean.
-        w = w - v[: j + 1].T @ (np.conj(v[: j + 1]) @ w)
-        alphas.append(a)
-        b = float(np.linalg.norm(w))
+        basis = v[: j + 1]
+        # <v_i|w> as conj(V @ conj(w)): no conjugate copy of the basis.
+        coeffs = np.conj(basis @ np.conj(w))
+        w = w - coeffs @ basis
+        w -= np.conj(basis @ np.conj(w)) @ basis
+        tridiag[j, j] = coeffs[j].real
+        b = math.sqrt(np.vdot(w, w).real)
         m = j + 1
         if m >= start_check or b < 1e-14 or m == max_dim:
-            t_small = np.diag(np.asarray(alphas))
-            if m > 1:
-                off = np.asarray(betas[: m - 1])
-                t_small = t_small + np.diag(off, 1) + np.diag(off, -1)
-            evals, q = np.linalg.eigh(t_small)
-            u = q @ (np.exp(-1j * dt * evals) * q[0, :].conj())
+            evals, q = np.linalg.eigh(tridiag[:m, :m])
+            u = q @ (np.exp(-1j * dt * evals) * q[0])
             err = dt * b * abs(u[-1])
             if err <= tol or b < 1e-14:
-                result = (v[:m].T @ u) * nrm
-                return result, m
-        betas.append(b)
+                return (u * nrm) @ v[:m], m
+        if m == max_dim:
+            break
+        tridiag[j, j + 1] = tridiag[j + 1, j] = b
         v[j + 1] = w / b
     raise PropagationError(
         f"Krylov step did not reach tolerance {tol} within dimension {max_dim}"
@@ -183,11 +183,12 @@ class SampledEvolution:
             )
         # Steps are the requested dt rounded to a whole count of the duration.
         h = tau / n_steps
+        omegas, deltas = pulse.sample((np.arange(n_steps) + 0.5) * h)
+        omegas, deltas = omegas.tolist(), deltas.tolist()
         amps = amplitudes.astype(complex, copy=True)
         start_check = 3
         for step in range(n_steps):
-            omega_rad, delta_rad = pulse.sample((step + 0.5) * h)
-            matvec = self.matvec_at(float(omega_rad), float(delta_rad))
+            matvec = self.matvec_at(omegas[step], deltas[step])
             try:
                 amps, m = krylov_expm_apply(
                     matvec, amps, h, tol=krylov_tol, max_dim=max_krylov,

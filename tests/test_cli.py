@@ -168,9 +168,27 @@ class TestParityScan:
         assert 0.8 < float(row[1]) <= 1.001
         assert (out / "parity_scan_shots.csv").exists()
 
+    def test_shots_mode_calibrates_readout_once(self, outroot, monkeypatch):
+        from rydghz import protocols
+
+        calls = []
+        calibrate = protocols.optimal_ux_duration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "optimal_ux_duration", counted)
+        code = run("--seed", 0, "--out-dir", outroot / "parity-once", "parity-scan",
+                   "--n-sites", 8, "--shots", 200, "--bootstrap", 4)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_zero_shots_rejected(self, outroot):
         assert run("--out-dir", outroot / "p0", "parity-scan", "--n-sites", 4,
                    "--shots", 0) == 2
+        # refused before any scan runs
+        assert not (outroot / "p0" / "parity_scan.csv").exists()
 
 
 @pytest.fixture(scope="module")

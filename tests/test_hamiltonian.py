@@ -7,6 +7,7 @@ from rydghz.hamiltonian import (
     LocalShifts,
     build_hamiltonian,
     build_terms,
+    drive_coupling,
     staggered_field_generator,
 )
 from rydghz.units import TWO_PI, mhz_to_angular
@@ -45,6 +46,16 @@ def test_coupling_entries_are_single_flips(basis6):
     # flips leaving the truncated space are absent: row sums bounded by N/2
     row_counts = np.diff(terms.coupling.indptr)
     assert row_counts.max() <= 6
+
+
+@pytest.mark.parametrize("n_sites", [8, 12])
+def test_coupling_is_the_phase_zero_drive_template(n_sites):
+    basis = enumerate_basis(ChainGeometry(n_sites))
+    coupling = build_terms(basis).coupling
+    assert np.array_equal(coupling.toarray(), drive_coupling(basis).toarray())
+    # and both equal the oracle's drive part (omega = 1, no diagonal)
+    ref = dense_hamiltonian(basis, None, 1.0, 0.0, v_mhz=0.0)
+    assert np.array_equal(coupling.toarray(), ref)
 
 
 def test_interaction_diagonal_values():

@@ -27,6 +27,8 @@ from rydghz.optimize import (
 )
 from rydghz.propagate import StateVector, basis_state, ghz_state, ground_state
 
+from _oracles import dense_evolve
+
 
 @pytest.fixture(scope="module")
 def chain4():
@@ -255,6 +257,20 @@ class TestDcrab:
         assert "super_iteration 2: best_fom" in report
         digest = report.rsplit("final_pulse_sha256: ", 1)[1].strip()
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+    def test_n8_search_matches_dense_oracle(self):
+        basis = enumerate_basis(ChainGeometry(8))
+        shifts = LocalShifts.edges(8, -4.5)
+        simulator = PreparationSimulator(build_terms(basis), shifts, dt=0.001)
+        guess = ramp_pulse(RampSpec(kind="linear", total_time_us=1.1))
+        cfg = DcrabConfig(super_iterations=2, max_evaluations=8, fom_tolerance=1e-12, seed=7)
+        result = optimize_dcrab(guess, FigureOfMerit(), cfg, simulator)
+        assert result.n_evaluations == 17
+        psi = dense_evolve(basis, result.pulse, shifts.as_array(),
+                           ground_state(basis).amplitudes, dt=0.001)
+        i_a, i_abar = basis.ghz_indices()
+        oracle = abs(psi[i_a] + psi[i_abar]) ** 2 / 2.0
+        assert abs(result.best_fom - oracle) <= 1e-8
 
 
 class TestRampSpec:

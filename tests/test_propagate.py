@@ -4,7 +4,12 @@ import pytest
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
 from rydghz.controls import CrabExpansion, Pulse, Waveform, constant_pulse, standard_guess_pulse
 from rydghz.errors import PropagationError, ValidationError
-from rydghz.hamiltonian import LocalShifts, build_terms, staggered_field_generator
+from rydghz.hamiltonian import (
+    LocalShifts,
+    build_terms,
+    drive_coupling,
+    staggered_field_generator,
+)
 from rydghz.propagate import (
     SampledEvolution,
     StateVector,
@@ -105,6 +110,79 @@ def test_krylov_apply_against_dense():
     got, m = krylov_expm_apply(lambda x: h @ x, v, 0.05)
     assert np.allclose(got, ref, atol=1e-10)
     assert m <= dim
+
+
+def _complex_chain_hamiltonian(n_sites):
+    """Dense complex Hermitian H: a phase-0.7 drive plus the static diagonal."""
+    basis = enumerate_basis(ChainGeometry(n_sites))
+    terms = build_terms(basis)
+    diag = terms.static_diagonal(LocalShifts.preparation_default(n_sites))
+    diag = diag - mhz_to_angular(3.0) * terms.excitations
+    h = mhz_to_angular(4.0) * drive_coupling(basis, phase=0.7).toarray() + np.diag(diag)
+    assert np.iscomplexobj(h) and np.abs(h.imag).max() > 0.1
+    return h
+
+
+def test_krylov_apply_complex_hermitian_against_expm():
+    import scipy.linalg
+
+    h = _complex_chain_hamiltonian(8)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    for dt in (0.001, 0.02):
+        got, m = krylov_expm_apply(lambda x: h @ x, v, dt)
+        ref = scipy.linalg.expm(-1j * dt * h) @ v
+        assert np.abs(got - ref).max() <= 1e-10
+        assert 1 <= m < h.shape[0]
+
+
+def test_krylov_apply_eigenvector_takes_invariant_exit():
+    # Configurations are exact eigenvectors of the undriven chain: the
+    # first residual vanishes, so the step returns at dimension 1, before
+    # the first scheduled error check, with the exact phase.
+    basis = enumerate_basis(ChainGeometry(8))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms, LocalShifts.preparation_default(8))
+    matvec = engine.matvec_at(0.0, mhz_to_angular(-7.0))
+    start = basis_state(basis, "10010001").amplitudes * 0.6
+    k = basis.index_of("10010001")
+    energy = engine.static_diag[k] + mhz_to_angular(7.0) * engine.excitations[k]
+    assert abs(energy) > 10.0
+    got, m = krylov_expm_apply(matvec, start, 0.3, start_check=3)
+    assert m == 1
+    assert np.abs(got - np.exp(-0.3j * energy) * start).max() <= 1e-15
+
+
+def test_krylov_apply_full_dimension():
+    import scipy.linalg
+
+    h = _complex_chain_hamiltonian(4)
+    dim = h.shape[0]
+    v = np.random.default_rng(2).standard_normal(dim) + 0j
+    ref = scipy.linalg.expm(-1j * 0.5 * h) @ v
+    # dt * |H| far exceeds the dimension, so only the whole space converges.
+    for max_dim in (dim, dim + 5):
+        got, m = krylov_expm_apply(lambda x: h @ x, v, 0.5, max_dim=max_dim)
+        assert m == dim
+        assert np.abs(got - ref).max() <= 1e-10
+    with pytest.raises(PropagationError):
+        krylov_expm_apply(lambda x: h @ x, v, 0.5, max_dim=dim - 1)
+
+
+def test_run_samples_controls_once(monkeypatch):
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    calls = []
+    sample = Pulse.sample
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return sample(self, t)
+
+    engine = SampledEvolution(basis, terms, LocalShifts.preparation_default(6))
+    monkeypatch.setattr(Pulse, "sample", counted)
+    engine.run(ground_state(basis).amplitudes, _random_crab_pulse(1.1, seed=4), dt=0.001)
+    assert calls == [1100]
 
 
 def test_diagonal_evolution_exact_phases():
