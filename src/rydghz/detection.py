@@ -10,6 +10,7 @@ distribution is recovered by least squares on the probability simplex.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,13 +132,16 @@ def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0,
                                    metadata=None):
     """Shots from an explicit configuration distribution over a basis."""
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (basis.dim,) or np.any(probs < 0):
-        raise ValidationError("probability vector must be nonnegative over the basis")
+    if probs.shape != (basis.dim,) or not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValidationError("probability vector must be finite and nonnegative over the basis")
+    total = probs.sum()
+    if not total > 0.0:
+        raise ValidationError("probability vector sums to zero")
     if n_shots < 1:
         raise ValidationError("need at least one shot")
     model = model or DetectionModel()
     rng = np.random.default_rng(seed)
-    idx = rng.choice(basis.dim, size=n_shots, p=probs / probs.sum())
+    idx = rng.choice(basis.dim, size=n_shots, p=probs / total)
     bits = basis.bits_matrix()[idx].astype(np.uint8)
     u = rng.random(bits.shape)
     flip = np.where(bits == 1, u < model.p01, u < model.p10)
@@ -148,19 +152,31 @@ def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0,
     return ShotSet(basis.n_sites, bits, meta)
 
 
-def _binomial_pmf(n, p):
-    """P(k successes in n trials), k = 0..n, in closed form."""
+@lru_cache(maxsize=None)
+def _binomial_tables(n):
+    """Binomial coefficients C(r, j) and exponents max(r - j, 0), r, j = 0..n."""
+    comb = np.array([[math.comb(r, j) for j in range(n + 1)] for r in range(n + 1)],
+                    dtype=float)
     k = np.arange(n + 1)
-    return np.array([math.comb(n, j) for j in k], dtype=float) * p**k * (1.0 - p) ** (n - k)
+    rest = np.clip(k[:, None] - k[None, :], 0, None)
+    comb.flags.writeable = rest.flags.writeable = False  # shared by every caller
+    return comb, rest
+
+
+def _binomial_pmf_table(n, p):
+    """Row r: P(j successes in r trials), j = 0..r, in closed form (zero past r)."""
+    comb, rest = _binomial_tables(n)
+    k = np.arange(n + 1)
+    return comb * p**k * ((1.0 - p) ** k)[rest]
 
 
 def _binomial_count_confusion(n_slots, p10, p01):
     """T[m, n] = P(detect m ones | n true ones) over `n_slots` sites."""
-    t = np.zeros((n_slots + 1, n_slots + 1))
+    kept = _binomial_pmf_table(n_slots, 1.0 - p01)
+    raised = _binomial_pmf_table(n_slots, p10)
+    t = np.empty((n_slots + 1, n_slots + 1))
     for n in range(n_slots + 1):
-        kept = _binomial_pmf(n, 1.0 - p01)
-        raised = _binomial_pmf(n_slots - n, p10)
-        t[:, n] = np.convolve(kept, raised)
+        t[:, n] = np.convolve(kept[n, :n + 1], raised[n_slots - n, :n_slots - n + 1])
     return t
 
 
@@ -208,8 +224,9 @@ class MagnetizationExcitationGrouping:
     excitation counts (k_odd, k_even) via k = k_odd + k_even and
     M = 2 (k_even - k_odd); readout errors act independently on the two
     sublattices, so the exact confusion matrix is a product of two
-    binomial-convolution transfers.  Groups are ordered lexicographically
-    in (k, M).
+    binomial-convolution transfers, one per sublattice:
+    M[g, h] = T[k_odd(g), k_odd(h)] T[k_even(g), k_even(h)].  Groups are
+    ordered lexicographically in (k, M).
     """
 
     def __init__(self, n_sites):
@@ -229,6 +246,11 @@ class MagnetizationExcitationGrouping:
         self._sub_index = np.full((self.half + 1, self.half + 1), -1, dtype=np.int64)
         for g, (_, _, k_odd, k_even) in enumerate(pairs):
             self._sub_index[k_odd, k_even] = g
+        # group -> sublattice counts, as index grids into the count transfer
+        k_odd = np.array([t[2] for t in pairs])
+        k_even = np.array([t[3] for t in pairs])
+        self._odd_grid = np.ix_(k_odd, k_odd)
+        self._even_grid = np.ix_(k_even, k_even)
 
     def labels(self):
         return [f"k={k},M={m:+d}" for k, m in self.groups]
@@ -258,13 +280,7 @@ class MagnetizationExcitationGrouping:
 
     def confusion(self, model):
         t = _binomial_count_confusion(self.half, model.p10, model.p01)
-        size = self.half + 1
-        kron = np.kron(t, t)  # index k_odd * size + k_even
-        perm = np.empty(self.n_groups, dtype=np.int64)
-        for k_odd in range(size):
-            for k_even in range(size):
-                perm[self._sub_index[k_odd, k_even]] = k_odd * size + k_even
-        return kron[np.ix_(perm, perm)]
+        return t[self._odd_grid] * t[self._even_grid]
 
     def target_group_index(self):
         """Singleton group of the A ordering: (k, M) = (N/2, +N)."""
@@ -287,12 +303,15 @@ class InferenceResult:
 
 
 def _equality_solve(mtm, mtw, free):
-    nf = int(free.sum())
+    idx = np.flatnonzero(free)
+    nf = idx.size
     kkt = np.zeros((nf + 1, nf + 1))
-    kkt[:nf, :nf] = mtm[np.ix_(free, free)]
+    kkt[:nf, :nf] = mtm[idx[:, None], idx]
     kkt[:nf, nf] = 1.0
     kkt[nf, :nf] = 1.0
-    rhs = np.append(mtw[free], 1.0)
+    rhs = np.empty(nf + 1)
+    rhs[:nf] = mtw[idx]
+    rhs[nf] = 1.0
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -301,11 +320,11 @@ def _equality_solve(mtm, mtw, free):
 
 
 def infer_true_distribution(observed, confusion, weights=None, kkt_tol=1e-10,
-                            max_iterations=None):
+                            max_iterations=None, active_set=None):
     """Least-squares parent distribution on the probability simplex.
 
     Minimizes ||confusion @ V - observed||^2 subject to V >= 0 and
-    sum(V) = 1 with an active-set method; binding constraints with
+    sum(V) = 1 with a primal active-set method; binding constraints with
     negative multipliers are released lowest index first, which makes the
     solution path deterministic.
 
@@ -316,16 +335,36 @@ def infer_true_distribution(observed, confusion, weights=None, kkt_tol=1e-10,
     confusion : column-stochastic group confusion matrix M.
     weights : optional per-group nonnegative weights applied to the
         residual (unweighted by default).
+    active_set : optional group indices to start bound at zero, typically
+        the `active_set` of a previous result on nearby data.  The walk
+        then starts from the feasible point that is uniform on the other
+        groups instead of on all of them.  When M^T M is positive definite
+        (square M with misread rates below 0.5 and positive weights) the
+        minimizer is unique, so a warm start changes only the number of
+        iterations; the path from a given start stays deterministic.  A
+        set that binds every group falls back to the cold start.
     """
     w_obs = np.asarray(observed, dtype=float)
     m = np.asarray(confusion, dtype=float)
     if m.ndim != 2 or w_obs.shape != (m.shape[0],):
         raise ValidationError("confusion matrix and observation shapes disagree")
+    if not (np.all(np.isfinite(w_obs)) and np.all(np.isfinite(m))):
+        raise ValidationError("observed distribution and confusion matrix must be finite")
     n = m.shape[1]
+    free = np.ones(n, dtype=bool)
+    if active_set is not None:
+        bound = np.asarray(active_set)
+        if bound.size and (bound.ndim != 1 or bound.dtype.kind not in "iu"
+                           or bound.min() < 0 or bound.max() >= n):
+            raise ValidationError(f"active set must hold group indices in [0, {n})")
+        free[bound.astype(np.int64)] = False
+        if not free.any():
+            free[:] = True
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (m.shape[0],) or np.any(weights < 0):
-            raise ValidationError("weights must be nonnegative, one per observed group")
+        if (weights.shape != (m.shape[0],) or not np.all(np.isfinite(weights))
+                or np.any(weights < 0)):
+            raise ValidationError("weights must be finite and nonnegative, one per observed group")
         scale = np.sqrt(weights)
         m_fit = m * scale[:, None]
         w_fit = w_obs * scale
@@ -336,8 +375,8 @@ def infer_true_distribution(observed, confusion, weights=None, kkt_tol=1e-10,
     mtw = m_fit.T @ w_fit
     if max_iterations is None:
         max_iterations = 10 * n + 100
-    free = np.ones(n, dtype=bool)
-    v = np.full(n, 1.0 / n)
+    v = np.zeros(n)
+    v[free] = 1.0 / np.count_nonzero(free)
     for iteration in range(1, max_iterations + 1):
         v_free, lam = _equality_solve(mtm, mtw, free)
         if np.all(v_free >= -1e-12):
@@ -406,7 +445,9 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
     Each resample redraws the detection probabilities from their stated
     uncertainties (normal, truncated to [0, 0.5)) and the shot counts
     multinomially, then reruns the inference.  With a single resample the
-    spread is undefined and flagged as such.
+    spread is undefined and flagged as such.  Each inference starts from
+    the previous resample's active set, which leaves the samples unchanged
+    (see `infer_true_distribution`) but saves most of the iterations.
     """
     model = model or DetectionModel()
     if n_resamples < 1:
@@ -415,6 +456,10 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
     w_hat = grouping.observed_distribution(shots)
     n_shots = shots.n_shots
     samples = np.empty((n_resamples, len(w_hat)))
+    # a zero weight can leave the minimizer non-unique, and then the
+    # answer could depend on the start: chain warm starts only without one
+    chain = weights is None or bool(np.all(np.asarray(weights, dtype=float) > 0))
+    active_set = None
     for b in range(n_resamples):
         p10 = _truncated_normal(rng, model.p10, model.p10_uncertainty)
         p01 = _truncated_normal(rng, model.p01, model.p01_uncertainty)
@@ -422,7 +467,11 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
         counts = rng.multinomial(n_shots, w_hat)
         w_b = counts / n_shots
         confusion_b = grouping.confusion(model_b)
-        samples[b] = infer_true_distribution(w_b, confusion_b, weights=weights).distribution
+        result = infer_true_distribution(w_b, confusion_b, weights=weights,
+                                         active_set=active_set)
+        samples[b] = result.distribution
+        if chain:
+            active_set = result.active_set
     if n_resamples == 1:
         return BootstrapResult(None, samples, 1, False)
     sigma = samples.std(axis=0, ddof=1)

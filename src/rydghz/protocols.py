@@ -528,6 +528,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
 
                 grouping = grouping or MagnetizationExcitationGrouping(n)
                 confusion = grouping.confusion(detection)
+                active_set = None  # each time's inference starts from the last one's
             parity_values = np.empty(times_us.size)
             for j, c in enumerate(phases):
                 shots = sample_shots(StateVector(space, x @ c), n_shots, model=detection,
@@ -538,8 +539,11 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
                     sigma[j] = float(per_shot.std(ddof=1) / np.sqrt(n_shots))
                 else:
                     observed = grouping.observed_distribution(shots)
-                    inferred = infer_true_distribution(observed, confusion).distribution
-                    parity_values[j] = parity_from_distribution(inferred, grouping)
+                    inferred = infer_true_distribution(observed, confusion,
+                                                       active_set=active_set)
+                    active_set = inferred.active_set
+                    parity_values[j] = parity_from_distribution(inferred.distribution,
+                                                                grouping)
 
     frequency_mhz = n * delta_p_mhz
     fit = fit_fixed_frequency(times_us, parity_values, frequency_mhz)

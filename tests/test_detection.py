@@ -1,9 +1,12 @@
 """Detection model, grouped confusion matrices, and simplex inference."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from rydghz import detection
 from rydghz.basis import ChainGeometry, enumerate_basis
 from rydghz.detection import (
     DetectionModel,
@@ -17,7 +20,9 @@ from rydghz.detection import (
     sample_shots_from_distribution,
 )
 from rydghz.errors import InferenceError, ValidationError
-from rydghz.propagate import ghz_state
+from rydghz.hamiltonian import build_terms
+from rydghz.propagate import StateVector, ghz_state
+from rydghz.protocols import parity_oscillation_scan
 
 
 def brute_force_count_confusion(n_sites, p10, p01):
@@ -37,6 +42,17 @@ def brute_force_count_confusion(n_sites, p10, p01):
                     prob *= p10 if bit == 1 else 1.0 - p10
             t[ones, n_true] += prob
     return t
+
+
+def loop_count_confusion(n_slots, p10, p01):
+    """The count transfer built one true count at a time, in the same arithmetic."""
+
+    def pmf(n, p):
+        k = np.arange(n + 1)
+        return np.array([math.comb(n, j) for j in k], dtype=float) * p**k * (1.0 - p) ** (n - k)
+
+    return np.column_stack([np.convolve(pmf(n, 1.0 - p01), pmf(n_slots - n, p10))
+                            for n in range(n_slots + 1)])
 
 
 class TestDetectionModel:
@@ -93,6 +109,16 @@ class TestCountConfusion:
                 assert np.allclose(confusion.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
 
 
+    def test_equals_the_per_count_loop_exactly(self):
+        from rydghz.detection import _binomial_count_confusion
+
+        rng = np.random.default_rng(8)
+        for n_slots in range(11):
+            for p10, p01 in [(0.0063, 0.0227), (0.0, 0.0), *rng.uniform(0.0, 0.5, (5, 2))]:
+                assert np.array_equal(_binomial_count_confusion(n_slots, p10, p01),
+                                      loop_count_confusion(n_slots, p10, p01))
+
+
 class TestJointGrouping:
     def test_group_count_and_order(self):
         grouping = MagnetizationExcitationGrouping(4)
@@ -114,6 +140,18 @@ class TestJointGrouping:
         assert dist[i_a] == pytest.approx(0.5)
         assert dist[i_abar] == pytest.approx(0.5)
         assert dist.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_sites", [2, 8, 12, 20])
+    def test_confusion_equals_permuted_kronecker_product_exactly(self, n_sites):
+        grouping = MagnetizationExcitationGrouping(n_sites)
+        size = n_sites // 2 + 1
+        perm = np.empty(grouping.n_groups, dtype=np.int64)
+        for k_odd in range(size):
+            for k_even in range(size):
+                perm[grouping._sub_index[k_odd, k_even]] = k_odd * size + k_even
+        for model in (DetectionModel(), DetectionModel(p10=0.21, p01=0.37)):
+            t = loop_count_confusion(size - 1, model.p10, model.p01)
+            assert np.array_equal(grouping.confusion(model), np.kron(t, t)[np.ix_(perm, perm)])
 
     def test_confusion_matches_brute_force(self):
         model = DetectionModel(p10=0.05, p01=0.11)
@@ -199,6 +237,18 @@ class TestShots:
         a = sample_shots(psi, 64, seed=5)
         b = sample_shots(psi, 64, seed=5)
         assert np.array_equal(a.bits, b.bits)
+
+    def test_bad_probability_vectors_refused(self):
+        basis = enumerate_basis(ChainGeometry(4))
+        probs = np.zeros(basis.dim)
+        with pytest.raises(ValidationError, match="sums to zero"):
+            sample_shots_from_distribution(basis, probs, 10)
+        probs[0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            sample_shots_from_distribution(basis, probs, 10)
+        probs[0] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            sample_shots_from_distribution(basis, probs, 10)
 
     def test_parities(self):
         shots = ShotSet(4, np.asarray([[0, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]],
@@ -307,6 +357,57 @@ class TestInference:
         with pytest.raises(InferenceError):
             infer_true_distribution(np.ones(5) / 5, confusion, max_iterations=0)
 
+    def test_non_finite_input_refused(self):
+        confusion = ExcitationGrouping(4).confusion(DetectionModel())
+        w = np.ones(5) / 5
+        w[2] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            infer_true_distribution(w, confusion)
+        bad = confusion.copy()
+        bad[1, 3] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            infer_true_distribution(np.ones(5) / 5, bad)
+        for weight in (np.nan, np.inf):
+            weights = np.ones(5)
+            weights[1] = weight
+            with pytest.raises(ValidationError, match="finite"):
+                infer_true_distribution(np.ones(5) / 5, confusion, weights=weights)
+
+    def test_bad_active_set_refused(self):
+        confusion = ExcitationGrouping(4).confusion(DetectionModel())
+        w = np.ones(5) / 5
+        for active_set in ((0, 5), (-1,), (1.0, 2.0), (True, False)):
+            with pytest.raises(ValidationError, match="active set"):
+                infer_true_distribution(w, confusion, active_set=active_set)
+
+    def test_warm_start_reaches_the_cold_minimizer(self):
+        grouping = MagnetizationExcitationGrouping(8)
+        confusion = grouping.confusion(DetectionModel())
+        rng = np.random.default_rng(4)
+        n = grouping.n_groups
+        for _ in range(10):
+            w = rng.dirichlet(np.ones(n) * 0.2)
+            cold = infer_true_distribution(w, confusion)
+            for active_set in ((), cold.active_set, tuple(range(0, n, 2)),
+                               tuple(range(n)), np.arange(n - 1)):
+                warm = infer_true_distribution(w, confusion, active_set=active_set)
+                assert np.allclose(warm.distribution, cold.distribution, rtol=0, atol=1e-12)
+                assert warm.active_set == cold.active_set
+                assert warm.kkt_residual < 1e-10
+            # starting from the solution's own active set ends on the first solve
+            assert infer_true_distribution(
+                w, confusion, active_set=cold.active_set).iterations == 1
+
+    def test_active_set_of_every_group_is_the_cold_start(self):
+        grouping = MagnetizationExcitationGrouping(6)
+        confusion = grouping.confusion(DetectionModel())
+        w = np.random.default_rng(5).dirichlet(np.ones(grouping.n_groups) * 0.3)
+        cold = infer_true_distribution(w, confusion)
+        full = infer_true_distribution(w, confusion, active_set=range(grouping.n_groups))
+        assert np.array_equal(full.distribution, cold.distribution)
+        assert full.active_set == cold.active_set
+        assert full.iterations == cold.iterations
+
 
 class TestBootstrap:
     def _shots(self):
@@ -331,6 +432,90 @@ class TestBootstrap:
         assert not result.sigma_defined
         with pytest.raises(ValidationError):
             bootstrap_uncertainty(self._shots(), ExcitationGrouping(4), n_resamples=0)
+
+
+def _recording_inference(monkeypatch, warm):
+    """Route detection.infer_true_distribution through a recorder.
+
+    With warm=False the given active set is dropped, so every call starts
+    cold, as before warm starts existed.  Returns the list of results.
+    """
+    original = detection.infer_true_distribution
+    results = []
+
+    def recorded(observed, confusion, *args, active_set=None, **kwargs):
+        if warm and active_set is not None:
+            kwargs["active_set"] = active_set
+        result = original(observed, confusion, *args, **kwargs)
+        results.append((active_set, result))
+        return result
+
+    monkeypatch.setattr(detection, "infer_true_distribution", recorded)
+    return results
+
+
+def _ghz_like_state(basis, spread, seed):
+    """A GHZ state with some weight on every other configuration."""
+    amplitudes = ghz_state(basis).amplitudes + spread * np.random.default_rng(seed).normal(
+        size=basis.dim)
+    return StateVector(basis, amplitudes / np.linalg.norm(amplitudes))
+
+
+def _ghz_shots(n_sites, n_shots, seed):
+    psi = _ghz_like_state(enumerate_basis(ChainGeometry(n_sites)), 0.08, seed)
+    return sample_shots(psi, n_shots, model=DetectionModel(), seed=seed)
+
+
+class TestWarmStartedCallers:
+    @pytest.mark.parametrize("n_sites", [8, 12])
+    def test_bootstrap_samples_match_cold_starts(self, monkeypatch, n_sites):
+        shots = _ghz_shots(n_sites, 3000, seed=n_sites)
+        grouping = MagnetizationExcitationGrouping(n_sites)
+        with monkeypatch.context() as patch:
+            _recording_inference(patch, warm=False)
+            cold = bootstrap_uncertainty(shots, grouping, n_resamples=60, seed=2)
+        warm = bootstrap_uncertainty(shots, grouping, n_resamples=60, seed=2)
+        assert np.array_equal(warm.samples, cold.samples)
+        assert np.array_equal(warm.sigma, cold.sigma)
+
+    def test_bootstrap_warm_starts_save_iterations(self, monkeypatch):
+        shots = _ghz_shots(12, 3000, seed=1)
+        grouping = MagnetizationExcitationGrouping(12)
+        with monkeypatch.context() as patch:
+            cold = _recording_inference(patch, warm=False)
+            bootstrap_uncertainty(shots, grouping, n_resamples=50, seed=3)
+        with monkeypatch.context() as patch:
+            warm = _recording_inference(patch, warm=True)
+            bootstrap_uncertainty(shots, grouping, n_resamples=50, seed=3)
+        assert len(warm) == len(cold) == 50
+        # every resample after the first starts from its neighbour's active set
+        assert warm[0][0] is None
+        assert all(warm[b][0] == warm[b - 1][1].active_set for b in range(1, 50))
+        assert sum(r.iterations for _, r in warm) < sum(r.iterations for _, r in cold)
+
+    def test_bootstrap_with_a_zero_weight_starts_cold(self, monkeypatch):
+        shots = _ghz_shots(8, 2000, seed=4)
+        grouping = MagnetizationExcitationGrouping(8)
+        weights = np.ones(grouping.n_groups)
+        weights[3] = 0.0
+        calls = _recording_inference(monkeypatch, warm=True)
+        bootstrap_uncertainty(shots, grouping, n_resamples=5, seed=1, weights=weights)
+        assert [given for given, _ in calls] == [None] * 5
+
+    def test_inferred_scan_matches_cold_starts(self, monkeypatch):
+        basis = enumerate_basis(ChainGeometry(8))
+        terms = build_terms(basis)
+        psi = _ghz_like_state(basis, 0.05, seed=6)
+        kwargs = dict(readout=0.075, n_times=20, mode="shots-inferred", n_shots=1500, seed=7)
+        with monkeypatch.context() as patch:
+            cold_calls = _recording_inference(patch, warm=False)
+            cold = parity_oscillation_scan(psi, terms, 4.0, **kwargs)
+        with monkeypatch.context() as patch:
+            warm_calls = _recording_inference(patch, warm=True)
+            warm = parity_oscillation_scan(psi, terms, 4.0, **kwargs)
+        assert np.array_equal(warm.parity, cold.parity)
+        assert len(warm_calls) == len(cold_calls) == 20
+        assert all(warm_calls[j][0] == warm_calls[j - 1][1].active_set for j in range(1, 20))
 
 
 class TestParityFromDistribution:
