@@ -479,7 +479,7 @@ def cmd_bell_distribute(ctx, args):
         pulse = _load_pulse(ctx, args.source)
         result = bell_distribution_protocol(
             pulse, reverse, terms,
-            preparation_shifts=_shifts("preparation", args.n_sites),
+            preparation_shifts=_shifts(args.shifts, args.n_sites),
             edge_shift_mhz=args.edge_shift, dt=args.dt,
         )
 
@@ -509,11 +509,12 @@ def cmd_bell_distribute(ctx, args):
 def cmd_decay_scan(ctx, args):
     import numpy as np
 
+    from .basis import ChainGeometry, enumerate_basis
     from .noise import NoiseModel, decohered_ghz_coherence
     from .propagate import ghz_state
     from .units import TWO_PI
 
-    basis, _ = _chain(args.n_sites, args.v_nn)
+    basis = enumerate_basis(ChainGeometry(args.n_sites))
     model = NoiseModel(
         doppler_sigma_mhz=args.doppler_sigma,
         position_sigma=0.0,
@@ -598,7 +599,7 @@ COMMANDS = {
 }
 
 
-def _add_chain_flags(parser, shifts_default="preparation"):
+def _add_chain_flags(parser):
     parser.add_argument("--n-sites", type=int, required=True,
                         help="number of chain sites")
     parser.add_argument("--v-nn", type=float, default=24.0,
@@ -606,7 +607,7 @@ def _add_chain_flags(parser, shifts_default="preparation"):
     parser.add_argument("--dt", type=float, default=0.001,
                         help="integrator step in us")
     parser.add_argument("--shifts", choices=("preparation", "none"),
-                        default=shifts_default,
+                        default="preparation",
                         help="local detuning shift profile")
 
 
@@ -701,7 +702,7 @@ def build_parser():
 
     sub = subparsers.add_parser("decay-scan",
                                 help="held-coherence decay under quenched Doppler")
-    _add_chain_flags(sub, shifts_default="none")
+    sub.add_argument("--n-sites", type=int, required=True, help="number of chain sites")
     sub.add_argument("--doppler-sigma", type=float, default=0.043)
     sub.add_argument("--scattering-time", type=float, default=75.0)
     sub.add_argument("--rydberg-lifetime", type=float, default=150.0)

@@ -96,13 +96,15 @@ def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
 
     Lanczos with full reorthogonalization: each new vector is projected
     off the whole basis by classical Gram-Schmidt applied twice, and the
-    first pass's last coefficient is the Lanczos alpha.  The a-posteriori
-    error estimate dt * beta_m * |u_m| must drop below `tol` (relative to
-    |vec|) or PropagationError is raised.  Returns (result, krylov_dim).
+    first pass's last coefficient is the Lanczos alpha.  dt may be negative
+    (backward in time).  The a-posteriori error estimate |dt| * beta_m * |u_m|
+    must drop below `tol` (relative to |vec|) or PropagationError is raised.
+    Returns (result, krylov_dim).
     """
     nrm = math.sqrt(np.vdot(vec, vec).real)
     if nrm == 0.0 or dt == 0.0:
         return vec.astype(complex, copy=True), 0
+    abs_dt = abs(dt)
     dim = vec.size
     max_dim = min(max_dim, dim)
     v = np.empty((max_dim, dim), dtype=complex)
@@ -121,7 +123,7 @@ def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
         if m >= start_check or b < 1e-14 or m == max_dim:
             evals, q = np.linalg.eigh(tridiag[:m, :m])
             u = q @ (np.exp(-1j * dt * evals) * q[0])
-            err = dt * b * abs(u[-1])
+            err = abs_dt * b * abs(u[-1])
             if err <= tol or b < 1e-14:
                 return (u * nrm) @ v[:m], m
         if m == max_dim:

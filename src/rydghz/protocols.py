@@ -123,15 +123,84 @@ def parity_expectation(psi):
 # resonant readout rotation
 
 
+class _ConstantDrive:
+    """Propagator of the time-independent H = omega * coupling + diag(diagonal).
+
+    step moves every column of a block by one Krylov step of either sign,
+    each column's first convergence check carried over as in
+    SampledEvolution.run.  rotate applies exp(-i tau H): one dense expm,
+    kept for reuse, up to _DENSE_UNITARY_CUTOFF states, else round(tau/dt)
+    equal steps.
+    """
+
+    def __init__(self, coupling, diagonal, omega_rad):
+        self.coupling = coupling
+        self.diagonal = diagonal
+        self.omega_rad = omega_rad
+        self._start_checks = []
+        self._unitary = (None, None)
+
+    @classmethod
+    def resonant(cls, space, terms, omega_mhz, coupling=None):
+        """Resonant drive of `terms` on `space` (a basis or one of its sectors)."""
+        from .propagate import SampledEvolution
+
+        operators = SampledEvolution(space, terms, coupling=coupling)
+        return cls(operators.coupling, operators.static_diag, mhz_to_angular(omega_mhz))
+
+    def _matvec(self, x):
+        return self.omega_rad * (self.coupling @ x) + self.diagonal * x
+
+    def step(self, block, h):
+        from .propagate import krylov_expm_apply
+
+        checks = self._start_checks
+        if len(checks) != block.shape[1]:
+            checks[:] = [3] * block.shape[1]
+        out = np.empty(block.shape, dtype=complex, order="F")
+        for k in range(block.shape[1]):
+            out[:, k], m = krylov_expm_apply(self._matvec, block[:, k], h,
+                                             start_check=checks[k])
+            checks[k] = max(3, m - 1)
+        return out
+
+    def rotate(self, block, tau, dt):
+        if tau == 0.0:
+            return block.astype(complex, copy=True)
+        if self.diagonal.size <= _DENSE_UNITARY_CUTOFF:
+            if self._unitary[0] != tau:
+                h = (self.omega_rad * self.coupling).toarray()
+                h += np.diag(self.diagonal)
+                self._unitary = (tau, expm(-1j * h * tau))
+            return self._unitary[1] @ block
+        n_steps, h = _uniform_steps(tau, dt)
+        for _ in range(n_steps):
+            block = self.step(block, h)
+        return block
+
+
+def _uniform_steps(tau, dt):
+    """round(tau/dt) equal steps spanning tau; dt is refused as in evolve."""
+    if dt <= 0 or not np.isfinite(dt):
+        raise ValidationError(f"dt must be positive, got {dt}")
+    n_steps = int(round(tau / dt))
+    if n_steps < 1:
+        raise ValidationError(
+            f"dt={dt} does not divide the duration {tau} within rounding"
+        )
+    return n_steps, tau / n_steps
+
+
 def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
     """Resonant constant drive under the full interacting Hamiltonian.
 
-    coupling replaces the all-site drive template, as in `evolve`.
+    coupling replaces the all-site drive template, as in `evolve`.  Spaces
+    up to _DENSE_UNITARY_CUTOFF states are rotated by one dense
+    exponential; larger ones in Krylov sub-steps of about dt.
     """
-    if duration_us == 0.0:
-        return psi.copy()
-    pulse = constant_pulse(duration_us, omega_mhz)
-    return evolve(psi, pulse, terms, shifts=None, dt=dt, coupling=coupling)
+    drive = _ConstantDrive.resonant(psi.space, terms, omega_mhz, coupling)
+    rotated = drive.rotate(psi.amplitudes[:, None], duration_us, dt)
+    return StateVector(psi.space, rotated[:, 0])
 
 
 @dataclass(frozen=True)
@@ -157,32 +226,23 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     """Scan the readout duration on a uniform grid (1 ns by default).
 
     The contrast (E_plus - E_minus)/2 between opposite-phase GHZ inputs
-    equals Re <U Abar|P|U A>, so a single pair of evolutions of |A> and
-    |Abar> yields the whole curve.  Only one history is stored: P U|A> at
-    every step of the first evolution, projected onto U|Abar> step by step
-    while the second one runs.
+    equals Re <U Abar|P|U A>, so stepping |A> and |Abar> together through
+    round(t_max/dt) equal Krylov steps yields the whole curve, one point
+    per step, with no stored history.  The curve's times are the times
+    stepped to.
     """
     basis = terms.basis
     if basis.n_sites % 2:
         raise ValidationError("readout calibration needs an even chain")
-    i_a, i_abar = basis.ghz_indices()
-    parity = basis.parity.astype(float)
-    pulse = constant_pulse(t_max_us, omega_mhz)
-
-    def start(index):
-        psi0 = np.zeros(basis.dim, dtype=complex)
-        psi0[index] = 1.0
-        return StateVector(basis, psi0)
-
-    parity_ua = []
-    evolve(start(i_a), pulse, terms, dt=dt,
-           observer=lambda t, amps: parity_ua.append(parity * amps))
-    q_curve = []
-    pending = iter(parity_ua)
-    evolve(start(i_abar), pulse, terms, dt=dt,
-           observer=lambda t, amps: q_curve.append(np.vdot(amps, next(pending))))
-    q_curve = np.asarray(q_curve)
-    times = dt * np.arange(1, len(q_curve) + 1)
+    drive = _ConstantDrive.resonant(basis, terms, omega_mhz)
+    n_steps, h = _uniform_steps(t_max_us, dt)
+    pair = np.zeros((basis.dim, 2), dtype=complex)
+    pair[list(basis.ghz_indices()), [0, 1]] = 1.0
+    q_curve = np.empty(n_steps, dtype=complex)
+    for k in range(n_steps):
+        pair = drive.step(pair, h)
+        q_curve[k] = np.vdot(pair[:, 1], basis.parity * pair[:, 0])
+    times = h * np.arange(1, n_steps + 1)
     contrast_curve = q_curve.real
     best = int(np.argmax(contrast_curve))
     return UxCalibration(
@@ -194,34 +254,6 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
         times_us=times,
         contrast_curve=contrast_curve,
     )
-
-
-def _readout_applier(terms, duration_us, omega_mhz, dt, coupling=None):
-    """Function psi -> U psi for a constant resonant drive on the chain.
-
-    U = exp(-i T (omega * coupling + static diagonal)), with the all-site
-    template of `terms` unless `coupling` restricts or rephases the drive.
-    Chains up to _DENSE_UNITARY_CUTOFF states get one dense expm reused
-    for every state; longer ones step each state through `apply_ux`.
-    """
-    basis = terms.basis
-    if basis.dim <= _DENSE_UNITARY_CUTOFF:
-        if coupling is None:
-            coupling = terms.coupling
-        h = (mhz_to_angular(omega_mhz) * coupling).toarray()
-        h += np.diag(terms.static_diagonal(None))
-        u = expm(-1j * h * duration_us)
-
-        def apply(psi):
-            return StateVector(basis, u @ psi.amplitudes)
-
-        return apply
-
-    def apply(psi):
-        return apply_ux(psi, terms, duration_us, omega_mhz=omega_mhz, dt=dt,
-                        coupling=coupling)
-
-    return apply
 
 
 def ideal_rotation_readout(basis, angle=np.pi / 2, phase=0.0):
@@ -394,15 +426,16 @@ def default_scan_times(n_sites, delta_p_mhz, n_times=None):
     return period * np.arange(n) / n
 
 
-def _rotated_components(state, generator, apply_readout, reflect):
+def _rotated_components(state, generator, rotate, reflect):
     """Readout images U psi_M of the state's staggered-magnetization parts.
 
     psi_M keeps the amplitudes with staggered magnetization M; only nonzero
-    parts are rotated.  With `reflect` and a reflection-even state
-    (|R psi - psi| <= 1e-12, which bounds the parity error by about twice
-    that), U psi_{-M} = R U psi_M, so only M >= 0 go through the readout.
-    Returns the output space, the images as columns, and the probe rate
-    (the generator value, rad/us) of each column.
+    parts are rotated, as the columns of one block through `rotate`
+    (block -> (output space, rotated block)).  With `reflect` and a
+    reflection-even state (|R psi - psi| <= 1e-12, which bounds the parity
+    error by about twice that), U psi_{-M} = R U psi_M, so only M >= 0 are
+    rotated.  Returns the output space, the images as columns, and the
+    probe rate (the generator value, rad/us) of each column.
     """
     basis = state.space
     amps = state.amplitudes
@@ -411,18 +444,17 @@ def _rotated_components(state, generator, apply_readout, reflect):
     values = np.unique(m[amps != 0])
     if values.size == 0:
         raise ValidationError("cannot scan the zero vector")
+    if even:
+        values = values[values >= 0]
+    masks = m[:, None] == values[None, :]
+    space, images = rotate(np.where(masks, amps[:, None], 0))
     columns, rates = [], []
-    for value in values:
-        if even and value < 0:
-            continue
-        mask = m == value
-        rotated = _as_full_state(apply_readout(StateVector(basis, np.where(mask, amps, 0))))
-        space = rotated.space
-        rate = generator[mask][0]
-        columns.append(rotated.amplitudes)
+    for k, value in enumerate(values):
+        rate = generator[masks[:, k]][0]
+        columns.append(images[:, k])
         rates.append(rate)
         if even and value > 0:
-            columns.append(rotated.amplitudes[space.reflection])
+            columns.append(images[space.reflection, k])
             rates.append(-rate)
     return space, np.column_stack(columns), np.asarray(rates)
 
@@ -449,8 +481,9 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     E(T) = c(T)^dag G c(T) with G = X^dag P X.  Shot modes sample from
     X c(T).  When the state is reflection-even and the readout's static
     diagonal is reflection symmetric, U psi_{-M} = R U psi_M, so only the
-    M >= 0 components are rotated (N/2+1 readouts).  Callable readouts
-    get no such shortcut and must be linear maps.
+    M >= 0 components are rotated (N/2+1 columns of one block).  Callable
+    readouts get no such shortcut and must be linear maps.  dt is the
+    readout's Krylov sub-step above _DENSE_UNITARY_CUTOFF states.
     """
     if mode not in ("exact", "shots-raw", "shots-inferred"):
         raise ValidationError(f"unknown scan mode {mode!r}")
@@ -478,7 +511,9 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     generator = staggered_field_generator(basis, delta_p_mhz)
 
     if callable(readout):
-        apply_readout = readout
+        def rotate(block):
+            images = [_as_full_state(readout(StateVector(basis, col))) for col in block.T]
+            return images[0].space, np.column_stack([psi.amplitudes for psi in images])
     else:
         if readout is None:
             readout = optimal_ux_duration(terms)
@@ -486,20 +521,16 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
             duration, omega = readout.duration_us, readout.omega_mhz
         else:
             duration, omega = float(readout), 5.0
-        apply_readout = _readout_applier(terms, duration, omega, dt)
+        drive = _ConstantDrive.resonant(basis, terms, omega)
+
+        def rotate(block):
+            return basis, drive.rotate(block, duration, dt)
 
     if is_rho:
         # P rotated once: E(T) = Tr(D_T rho D_T^dag U^dag P U)
-        u = np.empty((basis.dim, basis.dim), dtype=complex)
-        for j in range(basis.dim):
-            col = np.zeros(basis.dim, dtype=complex)
-            col[j] = 1.0
-            rotated = apply_readout(StateVector(basis, col))
-            if rotated.space is not basis:
-                raise ValidationError(
-                    "density-matrix scans need a basis-preserving readout"
-                )
-            u[:, j] = rotated.amplitudes
+        space, u = rotate(np.eye(basis.dim, dtype=complex))
+        if space is not basis:
+            raise ValidationError("density-matrix scans need a basis-preserving readout")
         p_rot = u.conj().T @ (basis.parity[:, None] * u)
         parity_values = np.empty(times_us.size)
         for j, t in enumerate(times_us):
@@ -509,7 +540,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
         sigma = None
     else:
         reflect = not callable(readout) and terms.static_is_reflection_symmetric()
-        space, x, rates = _rotated_components(state, generator, apply_readout, reflect)
+        space, x, rates = _rotated_components(state, generator, rotate, reflect)
         phases = np.exp(-1j * np.outer(times_us, rates))
         sigma = np.empty(times_us.size) if mode == "shots-raw" else None
         if mode == "exact":
@@ -639,46 +670,32 @@ class DimerContrast:
     n_dimers: int
 
 
-def _dimer_operators(n_dimers, omega_rad, v_rad, v2_rad):
-    """Sparse Hamiltonian and parity diagonal for the spin-1 dimer chain.
+def _dimer_operators(n_dimers, v_rad, v2_rad):
+    """Drive coupling, interaction diagonal and parity of the spin-1 dimer chain.
 
     Per-dimer basis is ordered (+, 0, -) where + holds the left atom of
-    the pair excited and - the right; parity is diag(-1, +1, -1).
+    the pair excited and - the right; the drive is omega times the
+    coupling sum_j Sx_j / sqrt(2), and parity is diag(-1, +1, -1).
     """
+    from functools import reduce
+
     from scipy import sparse
 
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
-    proj_plus = np.diag([1.0, 0.0, 0.0])
-    proj_minus = np.diag([0.0, 0.0, 1.0])
-    eye = np.eye(3)
-
-    def chain_op(factors):
-        op = np.ones((1, 1))
-        for f in factors:
-            op = sparse.kron(sparse.csr_matrix(op), sparse.csr_matrix(f), format="csr")
-        return op
-
-    dim = 3**n_dimers
-    h = sparse.csr_matrix((dim, dim))
+    sx_half = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / 2.0)
+    coupling = sparse.csr_matrix((3**n_dimers, 3**n_dimers))
     for j in range(n_dimers):
-        factors = [eye] * n_dimers
-        factors[j] = sx
-        h = h + (omega_rad / np.sqrt(2.0)) * chain_op(factors)
+        inner = sparse.kron(sx_half, sparse.identity(3 ** (n_dimers - j - 1)))
+        coupling = coupling + sparse.kron(sparse.identity(3**j), inner, format="csr")
+    plus, minus, ones = np.array([1.0, 0, 0]), np.array([0, 0, 1.0]), np.ones(3)
+    diagonal = np.zeros(3**n_dimers)
     for j in range(n_dimers - 1):
-        for left, right, strength in (
-            (proj_plus, proj_plus, v2_rad),
-            (proj_minus, proj_minus, v2_rad),
-            (proj_minus, proj_plus, v_rad),
-        ):
-            factors = [eye] * n_dimers
-            factors[j] = left
-            factors[j + 1] = right
-            h = h + strength * chain_op(factors)
-    parity_single = np.array([-1.0, 1.0, -1.0])
-    parity = np.ones(1)
-    for _ in range(n_dimers):
-        parity = np.kron(parity, parity_single)
-    return sparse.csr_matrix(h), parity
+        for left, right, strength in ((plus, plus, v2_rad), (minus, minus, v2_rad),
+                                      (minus, plus, v_rad)):
+            factors = [ones] * n_dimers
+            factors[j], factors[j + 1] = left, right
+            diagonal += strength * reduce(np.kron, factors)
+    parity = reduce(np.kron, [np.array([-1.0, 1.0, -1.0])] * n_dimers)
+    return coupling, diagonal, parity
 
 
 def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0,
@@ -689,7 +706,8 @@ def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0
     states |++...> and |--...>; the resonant drive acts as
     (omega/sqrt(2)) * sum_j Sx.  With interactions off the contrast peaks
     exactly at omega * t = pi / sqrt(2); blockade (v) and next-nearest
-    neighbor (v2) couplings between dimers reduce it.
+    neighbor (v2) couplings between dimers reduce it.  The states are
+    stepped between grid times, either way, in Krylov steps of about dt.
     """
     if n_dimers < 1:
         raise ValidationError("need at least one dimer")
@@ -698,44 +716,22 @@ def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0
         times_us = dt * np.arange(1, int(round(t_max / dt)) + 1)
     else:
         times_us = np.asarray(times_us, dtype=float)
-    omega_rad = mhz_to_angular(omega_mhz)
-    h, parity = _dimer_operators(
-        n_dimers, omega_rad, mhz_to_angular(v_mhz), mhz_to_angular(v2_mhz)
+    coupling, diagonal, parity = _dimer_operators(
+        n_dimers, mhz_to_angular(v_mhz), mhz_to_angular(v2_mhz)
     )
-    dim = h.shape[0]
-    plus = np.zeros(dim, dtype=complex)
-    minus = np.zeros(dim, dtype=complex)
-    plus[0] = 1.0  # |++...+>
-    minus[-1] = 1.0  # |--...->
-    ghz_pair = np.column_stack([plus + minus, plus - minus]) / np.sqrt(2.0)
-    if dim <= _DENSE_UNITARY_CUTOFF:
-        evals, vecs = np.linalg.eigh(h.toarray())
-        modes = vecs.conj().T @ ghz_pair
-        phases = np.exp(-1j * np.outer(times_us, evals))
-        contrast = np.empty(times_us.size)
-        for j in range(times_us.size):
-            evolved = vecs @ (phases[j][:, None] * modes)
-            e_plus = float(parity @ (np.abs(evolved[:, 0]) ** 2))
-            e_minus = float(parity @ (np.abs(evolved[:, 1]) ** 2))
-            contrast[j] = (e_plus - e_minus) / 2.0
-    else:
-        from .propagate import krylov_expm_apply
-
-        def matvec(x):
-            return h @ x
-
-        contrast = np.empty(times_us.size)
-        state = ghz_pair.copy()
-        previous_t = 0.0
-        for j, t in enumerate(times_us):
-            step = t - previous_t
-            if step > 0:
-                state[:, 0], _ = krylov_expm_apply(matvec, state[:, 0], step)
-                state[:, 1], _ = krylov_expm_apply(matvec, state[:, 1], step)
-            previous_t = t
-            e_plus = float(parity @ (np.abs(state[:, 0]) ** 2))
-            e_minus = float(parity @ (np.abs(state[:, 1]) ** 2))
-            contrast[j] = (e_plus - e_minus) / 2.0
+    drive = _ConstantDrive(coupling, diagonal, mhz_to_angular(omega_mhz))
+    ghz_pair = np.zeros((diagonal.size, 2), dtype=complex)
+    ghz_pair[0] = 1.0 / np.sqrt(2.0)  # |++...+>
+    ghz_pair[-1] = np.array([1.0, -1.0]) / np.sqrt(2.0)  # |--...->
+    contrast = np.empty(times_us.size)
+    previous_t = 0.0
+    for j, t in enumerate(times_us):
+        n_steps = max(1, int(round(abs(t - previous_t) / dt)))
+        for _ in range(n_steps):
+            ghz_pair = drive.step(ghz_pair, (t - previous_t) / n_steps)
+        previous_t = t
+        e_plus, e_minus = parity @ (np.abs(ghz_pair) ** 2)
+        contrast[j] = (e_plus - e_minus) / 2.0
     best = int(np.argmax(contrast))
     return DimerContrast(
         times_us=times_us,
@@ -818,7 +814,8 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     Both rotations share one propagator U(0): the phase-phi edge drive is
     D C(0) D^dag with D = exp(-i phi (n_1 + n_N)), which commutes with the
     static diagonal, so U(phi) = D U(0) D^dag and, the edge parity being
-    diagonal too, each fringe point is the parity of U(0) D^dag psi.
+    diagonal too, each fringe point is the parity of U(0) D^dag psi (all
+    phases in one block).  dt also sub-steps U above the dense cutoff.
     """
     basis = terms.basis
     n = basis.n_sites
@@ -859,21 +856,19 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         phases = np.asarray(phases, dtype=float)
     if readout_duration_us is None:
         readout_duration_us = 0.25 / readout_omega_mhz  # omega * t = pi/2
-    rotate = _readout_applier(terms, readout_duration_us, readout_omega_mhz, dt,
-                              coupling=drive_coupling(basis, sites=(1, n)))
-    converted = rotate(psi)
-    converted_probs = converted.populations()
+    drive = _ConstantDrive.resonant(basis, terms, readout_omega_mhz,
+                                    drive_coupling(basis, sites=(1, n)))
+    converted = drive.rotate(psi.amplitudes[:, None], readout_duration_us, dt)[:, 0]
+    converted_probs = np.abs(converted) ** 2
     site_populations = converted_probs @ bits
     pop_ground = float(converted_probs[basis.index_of(0)])
     pop_edges = float(converted_probs[basis.index_of((1 << (n - 1)) | 1)])
     edge_excitations = bits[:, 0] + bits[:, -1]
     edge_parity_sign = np.where(edge_excitations % 2 == 0, 1.0, -1.0)
-    edge_parity = np.empty(phases.size)
-    for j, phi in enumerate(phases):
-        # U(phi) = D U(0) D^dag; the outer D drops out of the diagonal parity
-        rephased = np.exp(1j * phi * edge_excitations) * converted.amplitudes
-        probed = rotate(StateVector(basis, rephased))
-        edge_parity[j] = float(edge_parity_sign @ probed.populations())
+    # U(phi) = D U(0) D^dag; the outer D drops out of the diagonal parity
+    rephased = np.exp(1j * np.outer(edge_excitations, phases)) * converted[:, None]
+    probed = drive.rotate(rephased, readout_duration_us, dt)
+    edge_parity = edge_parity_sign @ (np.abs(probed) ** 2)
     fringe_fit = _fit_cosine(phases, edge_parity, omega=2.0)
     pattern_population = pop_ground + pop_edges
     return BellDistributionResult(
@@ -886,7 +881,7 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         exact_bell_fidelity=exact_bell_fidelity,
         bulk_ground_min=float(bulk_ground.min()),
         bulk_ground_mean=float(bulk_ground.mean()),
-        state_converted=converted,
+        state_converted=StateVector(basis, converted),
         site_populations=site_populations,
         population_all_ground=pop_ground,
         population_edges_excited=pop_edges,

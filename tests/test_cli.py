@@ -279,6 +279,16 @@ class TestBellDistribute:
         assert fringe.column_names == ("phase_rad", "edge_parity")
         check_output_digests(out, read_manifest(out, "bell-distribute"))
 
+    def test_pulse_source_honours_shifts(self, outroot, optimized):
+        reports = []
+        for extra in ((), ("--shifts", "none")):
+            out = outroot / f"bell-pulse{len(extra)}"
+            assert run("--seed", 0, "--out-dir", out, "bell-distribute", "--n-sites", 4,
+                       "--source", optimized / "pulse_optimized.json", "--dt", 0.004,
+                       *extra) == 0
+            reports.append((out / "bell_report.txt").read_text())
+        assert reports[0] != reports[1]
+
 
 class TestDecayScan:
     def test_artifacts_and_fit(self, outroot):
@@ -290,6 +300,13 @@ class TestDecayScan:
         assert float(report["gaussian_residual"]) < float(report["exponential_residual"])
         text = (out / "decay.csv").read_text()
         assert TableData.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize("flag", [("--dt", "0.5"), ("--shifts", "none"),
+                                      ("--v-nn", "10")])
+    def test_unused_chain_flags_rejected(self, outroot, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run("--out-dir", outroot / "decay-flag", "decay-scan", "--n-sites", 4, *flag)
+        assert excinfo.value.code == 2
 
     def test_zero_sigma_needs_explicit_span(self, outroot):
         assert run("--out-dir", outroot / "decay0", "decay-scan", "--n-sites", 4,

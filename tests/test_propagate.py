@@ -136,6 +136,24 @@ def test_krylov_apply_complex_hermitian_against_expm():
         assert 1 <= m < h.shape[0]
 
 
+def test_krylov_apply_backward_step():
+    # The error estimate scales with |dt|: a negative step must converge
+    # to exp(+i |dt| H) v or raise, never stop early on a negative estimate.
+    import scipy.linalg
+
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((200, 200))
+    h = (a + a.T) / 2
+    v = rng.standard_normal(200) + 0j
+    got, m = krylov_expm_apply(lambda x: h @ x, v, -0.05)
+    ref = scipy.linalg.expm(0.05j * h) @ v
+    assert np.abs(got - ref).max() <= 1e-10 * np.linalg.norm(v)
+    assert 3 < m < 64
+    for dt in (0.5, -0.5):
+        with pytest.raises(PropagationError):
+            krylov_expm_apply(lambda x: h @ x, v, dt, max_dim=20)
+
+
 def test_krylov_apply_eigenvector_takes_invariant_exit():
     # Configurations are exact eigenvectors of the undriven chain: the
     # first residual vanishes, so the step returns at dimension 1, before

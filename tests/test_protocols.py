@@ -204,6 +204,40 @@ class TestUxCalibration:
         assert ux.quality * np.exp(1j * ux.phase_offset) == pytest.approx(q, abs=1e-10)
         assert ux.contrast == pytest.approx(q.real, abs=1e-10)
 
+    @pytest.mark.parametrize("dt", [0.004, 0.007])
+    def test_curve_times_are_stepped_times(self, chain8, dt):
+        # round(t_max/dt) steps of t_max/round(t_max/dt): the reported
+        # duration is the time the curve point was stepped to.
+        basis, terms = chain8
+        ux = optimal_ux_duration(terms, dt=dt)
+        n_steps = round(0.15 / dt)
+        np.testing.assert_allclose(ux.times_us, 0.15 * np.arange(1, n_steps + 1) / n_steps,
+                                   rtol=0, atol=1e-15)
+        i_a, i_abar = basis.ghz_indices()
+        rotated = []
+        for index in (i_a, i_abar):
+            amps = np.zeros(basis.dim, dtype=complex)
+            amps[index] = 1.0
+            rotated.append(apply_ux(StateVector(basis, amps), terms, ux.duration_us))
+        q = np.vdot(rotated[1].amplitudes, basis.parity * rotated[0].amplitudes)
+        assert ux.quality * np.exp(1j * ux.phase_offset) == pytest.approx(q, abs=1e-10)
+        assert ux.contrast == pytest.approx(q.real, abs=1e-10)
+
+    def test_calibration_keeps_no_history(self):
+        import tracemalloc
+
+        basis = enumerate_basis(ChainGeometry(16))
+        terms = build_terms(basis)
+        terms.static_diagonal(None)
+        tracemalloc.start()
+        try:
+            optimal_ux_duration(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one stored vector per step: 150 steps of 2584 amplitudes
+        assert peak < 150 * basis.dim * 16
+
     def test_zero_duration_identity(self, chain4):
         basis, terms = chain4
         psi = ghz_state(basis)
@@ -464,19 +498,19 @@ class TestHarmonicScan:
         terms = build_terms(basis)
         psi = _prepared_state(basis, terms)
         calls = []
-        original = protocols.apply_ux
+        original = protocols._ConstantDrive.rotate
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(self, block, *args, **kwargs):
+            calls.append(block.shape[1])
+            return original(self, block, *args, **kwargs)
 
-        monkeypatch.setattr(protocols, "apply_ux", counting)
+        monkeypatch.setattr(protocols._ConstantDrive, "rotate", counting)
         counts = []
         for n_times in (34, 50):
             calls.clear()
             parity_oscillation_scan(psi, terms, 3.7, readout=self.DURATION_US,
                                     n_times=n_times, dt=0.035)
-            counts.append(len(calls))
+            counts.append(sum(calls))
         assert counts[0] <= 16 // 2 + 1
         assert counts[0] == counts[1]
 
@@ -563,6 +597,15 @@ class TestDimerModel:
             minus = evolve(ghz_state(basis, np.pi), pulse, terms, dt=0.0005)
             chain[j] = (parity_expectation(plus) - parity_expectation(minus)) / 2.0
         assert np.max(np.abs(dimer.contrast - chain)) < 1e-8
+
+    def test_grid_order_does_not_matter(self):
+        # dim 2187: each state is stepped from one grid time to the next,
+        # backward in time too.
+        times = 0.005 * np.arange(1, 21)
+        order = np.random.default_rng(1).permutation(times.size)
+        ordered = dimer_model_contrast(7, times_us=times, dt=0.005)
+        shuffled = dimer_model_contrast(7, times_us=times[order], dt=0.005)
+        assert np.max(np.abs(shuffled.contrast - ordered.contrast[order])) <= 1e-10
 
     def test_v2_strictly_reduces_contrast(self):
         free = dimer_model_contrast(3, v_mhz=24.0, v2_mhz=0.0)
