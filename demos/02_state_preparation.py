@@ -35,7 +35,7 @@ for total_time in (0.6, 0.8, 1.1, 1.5, 2.0):
     linear = ramp_pulse(RampSpec(kind="linear", total_time_us=total_time))
     spec = RampSpec(kind="local_adiabatic", total_time_us=total_time)
     schedule = diabaticity_schedule(spec, terms, shifts=shifts)
-    shaped = ramp_pulse(spec, terms=terms, shifts=shifts, schedule=schedule)
+    shaped = ramp_pulse(spec, schedule=schedule)
     f_lin = simulator.evaluate(linear, fom)
     f_la = simulator.evaluate(shaped, fom)
     print(f"{total_time:>8.2f} {f_lin:>10.5f} {f_la:>16.5f}")
@@ -54,7 +54,7 @@ print(f"linear ramp at T=1.1: instantaneous ground population dips to "
 # shows the crawl window directly.
 spec = RampSpec(kind="local_adiabatic", total_time_us=1.1)
 schedule = diabaticity_schedule(spec, terms, shifts=shifts)
-shaped = ramp_pulse(spec, terms=terms, shifts=shifts, schedule=schedule)
+shaped = ramp_pulse(spec, schedule=schedule)
 shaped_trace = eigenpopulation_trace(shaped, terms, shifts=shifts, m=6,
                                      n_times=41)
 region = shaped_trace.quench_regions()

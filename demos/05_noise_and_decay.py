@@ -31,8 +31,8 @@ for n in (8, 12, 20):
     basis = enumerate_basis(ChainGeometry(n))
     analytic = np.sqrt(2.0) / (TWO_PI * sigma * np.sqrt(n))
     grid = np.linspace(0.0, 1.2 * analytic, 25)
-    model = NoiseModel.doppler_only(n_realizations=800, seed=2)
-    decay = decohered_ghz_coherence(ghz_state(basis, 0.0), model, grid)
+    model = NoiseModel.doppler_only(seed=2)
+    decay = decohered_ghz_coherence(ghz_state(basis, 0.0), model, grid, n_realizations=800)
     fitted[n] = decay.gaussian_time_us
     shape = ("gaussian beats exponential"
              if decay.gaussian_residual < decay.exponential_residual
@@ -50,15 +50,14 @@ shifts = LocalShifts.preparation_default(n)
 pulse = ramp_pulse(RampSpec(kind="linear", total_time_us=1.1))
 
 clean = NoiseModel(doppler_sigma_mhz=0.0, position_sigma=0.0,
-                   scattering_time_us=np.inf, rydberg_lifetime_us=np.inf,
-                   n_realizations=1)
-full = NoiseModel(n_realizations=40, seed=3)
-baseline = noisy_preparation(pulse, terms, clean, shifts=shifts)
-noisy = noisy_preparation(pulse, terms, full, shifts=shifts)
+                   scattering_time_us=np.inf, rydberg_lifetime_us=np.inf)
+full = NoiseModel(seed=3)
+baseline = noisy_preparation(pulse, terms, clean, shifts=shifts, n_realizations=1)
+noisy = noisy_preparation(pulse, terms, full, shifts=shifts, n_realizations=40)
 print(f"linear ramp preparation at N={n}, T=1.1 us:")
 print(f"  noiseless fidelity          {baseline.mean_fidelity:.5f}")
 print(f"  with disorder and decay     {noisy.mean_fidelity:.5f} "
-      f"+- {noisy.fidelity_stderr:.5f}  ({full.n_realizations} realizations)")
+      f"+- {noisy.fidelity_stderr:.5f}  ({noisy.n_realizations} realizations)")
 print(f"  mean survival weight        {float(np.mean(noisy.survivals)):.5f}")
 for note in noisy.simplifications:
     print(f"  note: {note}")

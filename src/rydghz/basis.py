@@ -8,7 +8,7 @@ blockade limit, whose dimension follows the Fibonacci recurrence
 L(N) = L(N-1) + L(N-2) with L(1) = 2, L(2) = 3.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -16,6 +16,9 @@ from scipy import sparse
 from .errors import CapacityError, ValidationError
 
 DEFAULT_MAX_CONFIGS = 4_000_000
+# Largest difference between reflected entries of a diagonal that still
+# counts as reflection symmetric.
+REFLECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,12 @@ class Basis:
         a_val, abar_val = ghz_component_values(self.n_sites)
         return self.index_of(a_val), self.index_of(abar_val)
 
+    def symmetric_under_reflection(self, diag):
+        """Whether a diagonal over this basis is invariant under the chain
+        reflection, entry by entry within REFLECTION_TOL."""
+        diag = np.asarray(diag)
+        return bool(np.allclose(diag[self.reflection], diag, rtol=0.0, atol=REFLECTION_TOL))
+
     def __repr__(self):
         g = self.geometry
         return (
@@ -254,9 +263,9 @@ class SymmetrizedBasis:
     def reduce_operator(self, op):
         return sparse.csr_matrix(self.mapping.T @ op @ self.mapping)
 
-    def reduce_diagonal(self, diag, tol=1e-9):
+    def reduce_diagonal(self, diag):
         diag = np.asarray(diag)
-        if not np.allclose(diag[self.representatives], diag[self.partners], atol=tol, rtol=0):
+        if not self.basis.symmetric_under_reflection(diag):
             raise ValidationError(
                 "diagonal is not reflection symmetric; cannot restrict to a sector"
             )

@@ -222,7 +222,7 @@ def cmd_evolve(ctx, args):
         spec = RampSpec(kind=args.ramp, total_time_us=args.total_time)
         if args.ramp == "local_adiabatic":
             schedule = diabaticity_schedule(spec, terms, shifts=shifts)
-            pulse = ramp_pulse(spec, terms=terms, shifts=shifts, schedule=schedule)
+            pulse = ramp_pulse(spec, schedule=schedule)
         else:
             pulse = ramp_pulse(spec)
         source = f"{args.ramp} ramp, T={args.total_time!r} us"
@@ -345,7 +345,7 @@ def cmd_infer(ctx, args):
     shots = ShotSet.from_text(text)
 
     if args.identity:
-        model = DetectionModel(0.0, 0.0, 0.0, 0.0)
+        model = DetectionModel.perfect()
     else:
         model = DetectionModel(args.p10, args.p01, args.p10_sigma, args.p01_sigma)
     if args.grouping == "magnetization":
@@ -401,6 +401,7 @@ def cmd_infer(ctx, args):
 def cmd_ramp_compare(ctx, args):
     from .fileio import TableData
     from .optimize import (
+        RAMP_KINDS,
         DcrabConfig,
         FigureOfMerit,
         PreparationSimulator,
@@ -413,9 +414,8 @@ def cmd_ramp_compare(ctx, args):
     if args.n_sites % 2:
         raise ValidationError("fidelity comparison needs an even chain for the"
                               " staggered target")
-    known = ("linear", "local_adiabatic", "optimal_control")
     for kind in args.kinds:
-        if kind not in known:
+        if kind not in RAMP_KINDS:
             raise ValidationError(f"unknown ramp kind {kind!r}")
     _, terms = _chain(args.n_sites, args.v_nn)
     shifts = _shifts(args.shifts, args.n_sites)
@@ -432,8 +432,7 @@ def cmd_ramp_compare(ctx, args):
             elif kind == "local_adiabatic":
                 spec = RampSpec(kind=kind, total_time_us=total_time)
                 schedule = diabaticity_schedule(spec, terms, shifts=shifts)
-                pulse = ramp_pulse(spec, terms=terms, shifts=shifts,
-                                   schedule=schedule)
+                pulse = ramp_pulse(spec, schedule=schedule)
             else:
                 config = DcrabConfig(
                     super_iterations=args.super_iterations,
@@ -520,7 +519,6 @@ def cmd_decay_scan(ctx, args):
         position_sigma=0.0,
         scattering_time_us=args.scattering_time,
         rydberg_lifetime_us=args.rydberg_lifetime,
-        n_realizations=args.realizations,
         seed=ctx.seed,
     )
     t_max = args.t_max
@@ -529,7 +527,8 @@ def cmd_decay_scan(ctx, args):
             raise ValidationError("give --t-max explicitly when --doppler-sigma is 0")
         t_max = 1.5 * math.sqrt(2.0 / args.n_sites) / (TWO_PI * args.doppler_sigma)
     grid = np.linspace(0.0, t_max, args.points)
-    decay = decohered_ghz_coherence(ghz_state(basis, 0.0), model, grid)
+    decay = decohered_ghz_coherence(ghz_state(basis, 0.0), model, grid,
+                                    n_realizations=args.realizations)
 
     ctx.emit_text("decay.csv", decay.to_table())
     ctx.emit_text("decay_report.txt", _report_text("decay-scan", [

@@ -9,7 +9,7 @@ are clamped to the stored bounds before conversion to angular units.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,6 +21,8 @@ P10_DEFAULT = 0.0063
 P01_DEFAULT = 0.0227
 P10_UNCERTAINTY_DEFAULT = 0.0001
 P01_UNCERTAINTY_DEFAULT = 0.0042
+# A bound group whose KKT multiplier is below -KKT_TOL is released.
+KKT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,9 @@ class DetectionModel:
         if self.p10_uncertainty < 0 or self.p01_uncertainty < 0:
             raise ValidationError("uncertainties must be nonnegative")
 
-    def perfect(self):
-        return DetectionModel(0.0, 0.0, 0.0, 0.0)
+    @classmethod
+    def perfect(cls):
+        return cls(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -319,8 +322,8 @@ def _equality_solve(mtm, mtw, free):
     return sol[:nf], float(sol[nf])
 
 
-def infer_true_distribution(observed, confusion, weights=None, kkt_tol=1e-10,
-                            max_iterations=None, active_set=None):
+def infer_true_distribution(observed, confusion, weights=None, max_iterations=None,
+                            active_set=None):
     """Least-squares parent distribution on the probability simplex.
 
     Minimizes ||confusion @ V - observed||^2 subject to V >= 0 and
@@ -385,7 +388,7 @@ def infer_true_distribution(observed, confusion, weights=None, kkt_tol=1e-10,
             grad = mtm @ v - mtw
             mu = grad + lam
             bound = np.nonzero(~free)[0]
-            negative = bound[mu[bound] < -kkt_tol]
+            negative = bound[mu[bound] < -KKT_TOL]
             if negative.size == 0:
                 kkt_parts = [abs(v.sum() - 1.0)]
                 if free.any():

@@ -141,8 +141,7 @@ class HamiltonianTerms:
 
     def static_is_reflection_symmetric(self, shifts=None):
         """Whether the static diagonal is invariant under the chain reflection."""
-        static = self.static_diagonal(shifts)
-        return bool(np.allclose(static[self.basis.reflection], static, rtol=0.0, atol=1e-9))
+        return self.basis.symmetric_under_reflection(self.static_diagonal(shifts))
 
 
 def build_terms(basis, v_mhz=V_NN_DEFAULT_MHZ, bond_factors=None):

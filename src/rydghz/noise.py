@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .hamiltonian import HamiltonianTerms, LocalShifts
-from .propagate import DEFAULT_DT_US, SampledEvolution, StateVector, ground_state
-from .protocols import GhzDecomposition, exact_ghz_decomposition
+from .propagate import DEFAULT_DT_US, SampledEvolution, StateVector, ground_state, step_grid
+from .protocols import exact_ghz_decomposition
 from .units import TWO_PI
 
 # Bond multipliers are clamped to keep a perturbative draw from inverting
 # or erasing the blockade outright.
 BOND_FACTOR_RANGE = (0.5, 2.0)
+DEFAULT_REALIZATIONS = 256
 
 _SURVIVAL_NOTE = (
     "scattering and lifetime decay applied as a global survival weight"
@@ -43,7 +44,6 @@ class NoiseModel:
     position_sigma: float = 0.05
     scattering_time_us: float = 75.0
     rydberg_lifetime_us: float = 150.0
-    n_realizations: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -55,22 +55,17 @@ class NoiseModel:
             value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
-        if self.n_realizations < 1:
-            raise ValidationError(
-                f"n_realizations must be at least 1, got {self.n_realizations}"
-            )
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
-    def doppler_only(cls, doppler_sigma_mhz=0.043, n_realizations=256, seed=0):
+    def doppler_only(cls, doppler_sigma_mhz=0.043, seed=0):
         """Model with decay channels switched off (infinite timescales)."""
         return cls(
             doppler_sigma_mhz=doppler_sigma_mhz,
             position_sigma=0.0,
             scattering_time_us=math.inf,
             rydberg_lifetime_us=math.inf,
-            n_realizations=n_realizations,
             seed=seed,
         )
 
@@ -168,7 +163,8 @@ def _decay_fit(times, modulus, power, curve):
     return float(timescale), residual
 
 
-def decohered_ghz_coherence(psi, model, delay_grid_us, n_realizations=None):
+def decohered_ghz_coherence(psi, model, delay_grid_us,
+                            n_realizations=DEFAULT_REALIZATIONS):
     """Coherence of a held GHZ-like state under quenched Doppler dephasing.
 
     Each realization draws per-site detuning offsets; the two staggered
@@ -198,7 +194,7 @@ def decohered_ghz_coherence(psi, model, delay_grid_us, n_realizations=None):
     i_a, _ = basis.ghz_indices()
     signs = 2.0 * basis.bits_matrix()[i_a].astype(float) - 1.0
 
-    count = int(n_realizations) if n_realizations is not None else model.n_realizations
+    count = int(n_realizations)
     if count < 2:
         raise ValidationError(f"need at least 2 realizations, got {count}")
     walk = np.empty(count)
@@ -257,8 +253,8 @@ class NoisyPreparationResult:
         return iter((self.mean_fidelity, self.fidelity_stderr))
 
 
-def noisy_preparation(pulse, terms, model, shifts=None, n_realizations=None,
-                      dt=DEFAULT_DT_US):
+def noisy_preparation(pulse, terms, model, shifts=None,
+                      n_realizations=DEFAULT_REALIZATIONS, dt=DEFAULT_DT_US):
     """Preparation fidelity distribution under quenched disorder and decay.
 
     Every realization rebuilds the Hamiltonian with its own detuning
@@ -275,11 +271,14 @@ def noisy_preparation(pulse, terms, model, shifts=None, n_realizations=None,
         if terms.bond_factors is not None
         else np.ones(max(n - 1, 0))
     )
-    count = int(n_realizations) if n_realizations is not None else model.n_realizations
+    count = int(n_realizations)
+    if count < 1:
+        raise ValidationError(f"need at least 1 realization, got {count}")
 
     start = ground_state(basis).amplitudes
-    n_steps = max(int(round(pulse.tau / dt)), 1)
-    h = pulse.tau / n_steps
+    # The lifetime integral sums over the run's own steps; a pulse of zero
+    # duration takes none.
+    h = step_grid(pulse.tau, dt)[1] if pulse.tau > 0 else 0.0
 
     decomps = []
     fidelities = np.empty(count)

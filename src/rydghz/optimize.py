@@ -39,6 +39,13 @@ from .units import mhz_to_angular
 
 FOM_KINDS = ("ghz_fidelity", "state_overlap", "bell_edge_fidelity")
 RAMP_KINDS = ("linear", "local_adiabatic", "optimal_control")
+# Textbook downhill-simplex coefficients: reflection, expansion,
+# contraction and shrink.
+SIMPLEX_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
+# Instantaneous gaps below this (rad/us) are clamped in the diabatic weight.
+GAP_CLAMP_RAD = 1e-6
+# Samples of a local-adiabatic pulse's controls along its schedule.
+RAMP_TIME_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -93,10 +100,6 @@ class DcrabConfig:
 
     super_iterations: int = 8
     max_evaluations: int = 200
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     simplex_scale_mhz: float = 1.0
     fom_tolerance: float = 1e-5
     seed: int = 0
@@ -110,13 +113,6 @@ class DcrabConfig:
             raise ValidationError("simplex_scale_mhz must be positive")
         if self.fom_tolerance <= 0:
             raise ValidationError("fom_tolerance must be positive")
-        if not (
-            self.reflection > 0
-            and self.expansion > 1
-            and 0 < self.contraction < 1
-            and 0 < self.shrink < 1
-        ):
-            raise ValidationError("simplex coefficients out of range")
 
 
 class _BudgetExhausted(Exception):
@@ -132,15 +128,14 @@ class NelderMeadResult:
     converged: bool
 
 
-def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5,
-                reflection=1.0, expansion=2.0, contraction=0.5, shrink=0.5):
+def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
     """Minimize with the standard downhill simplex; returns the best seen.
 
     The simplex starts at x0 plus one scaled step along each coordinate
-    axis, and the loop stops when the value spread across the simplex
-    falls below `tolerance` or the evaluation budget runs out.  The
-    reported point is the best of every evaluation made, which can beat
-    the surviving simplex.
+    axis and moves by SIMPLEX_COEFFICIENTS; the loop stops when the value
+    spread across the simplex falls below `tolerance` or the evaluation
+    budget runs out.  The reported point is the best of every evaluation
+    made, which can beat the surviving simplex.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
@@ -151,6 +146,7 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5,
     scale = np.broadcast_to(np.asarray(scale, dtype=float), (n,)).copy()
     if np.any(scale == 0.0):
         raise ValidationError("simplex scale must be nonzero")
+    reflection, expansion, contraction, shrink = SIMPLEX_COEFFICIENTS
 
     history = []
     best_x = None
@@ -220,20 +216,15 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5,
     )
 
 
-def _even_sector(terms, shifts, use_symmetry):
+def _even_sector(terms, shifts):
     """Even reflection sector to run in, or None for the full basis.
 
-    use_symmetry None picks the sector exactly when the static diagonal is
-    reflection symmetric; True demands it and False declines it.
+    The sector is used exactly when the static diagonal is reflection
+    symmetric, since only then does the dynamics stay inside it.
     """
-    symmetric = terms.static_is_reflection_symmetric(shifts)
-    if use_symmetry and not symmetric:
-        raise ValidationError(
-            "static diagonal is not reflection symmetric; cannot use the even sector"
-        )
-    if use_symmetry is None:
-        use_symmetry = symmetric
-    return symmetry_sector(terms.basis, "even") if use_symmetry else None
+    if terms.static_is_reflection_symmetric(shifts):
+        return symmetry_sector(terms.basis, "even")
+    return None
 
 
 class PreparationSimulator:
@@ -246,10 +237,10 @@ class PreparationSimulator:
     start state and the staggered superposition target.
     """
 
-    def __init__(self, terms, shifts=None, dt=DEFAULT_DT_US, use_symmetry=None):
+    def __init__(self, terms, shifts=None, dt=DEFAULT_DT_US):
         if dt <= 0 or not np.isfinite(dt):
             raise ValidationError(f"dt must be positive, got {dt}")
-        sector = _even_sector(terms, shifts, use_symmetry)
+        sector = _even_sector(terms, shifts)
         self.terms = terms
         self.shifts = shifts
         self.dt = float(dt)
@@ -387,10 +378,6 @@ def optimize_dcrab(initial, fom, cfg, simulator):
             scale=cfg.simplex_scale_mhz,
             max_evaluations=cfg.max_evaluations,
             tolerance=cfg.fom_tolerance,
-            reflection=cfg.reflection,
-            expansion=cfg.expansion,
-            contraction=cfg.contraction,
-            shrink=cfg.shrink,
         )
         step_fom = -step.value
         if step_fom > incumbent_fom:
@@ -515,15 +502,14 @@ def schedule_from_weight(s_grid, weights, total_time_us):
     return Schedule(float(total_time_us), s_grid, times, weights)
 
 
-def diabaticity_weight(spec, terms, shifts=None, s_grid=None,
-                       gap_clamp_rad=1e-6, use_symmetry=None):
+def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
     """Diabatic coupling weight sqrt(sum_n |<E_n|dH/ds|E_0>|^2 / gap_n^2).
 
     dH/ds follows analytically from the ramp parametrization.  The sum
     runs over the lowest `spec.eigenstate_count` states above the
     instantaneous ground state; with a reflection-symmetric setup those
     are taken inside the even sector, which is where the drive acts.
-    Gaps below gap_clamp_rad (rad/us) are clamped and the clamp is
+    Gaps below GAP_CLAMP_RAD (rad/us) are clamped and the clamp is
     flagged; a degenerate ground state raises instead, because the
     weight diverges at a true crossing.
 
@@ -533,7 +519,7 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None,
         s_grid = np.linspace(0.0, 1.0, spec.grid_points)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    space = _even_sector(terms, shifts, use_symmetry)
+    space = _even_sector(terms, shifts)
     if space is None:
         coupling = terms.coupling
         excitations = terms.excitations
@@ -561,35 +547,32 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None,
         )
         elements = sl.vectors[:, 1:].conj().T @ dh_ground
         gaps = sl.energies[1:]
-        if np.any(gaps < gap_clamp_rad):
+        if np.any(gaps < GAP_CLAMP_RAD):
             clamped = True
-            gaps = np.maximum(gaps, gap_clamp_rad)
+            gaps = np.maximum(gaps, GAP_CLAMP_RAD)
         weights[i] = np.sqrt(np.sum(np.abs(elements) ** 2 / gaps**2))
     return s_grid, weights, clamped
 
 
-def diabaticity_schedule(spec, terms, shifts=None, gap_clamp_rad=1e-6,
-                         use_symmetry=None):
+def diabaticity_schedule(spec, terms, shifts=None):
     """Local-adiabatic schedule s(t) for a ramp spec."""
     if spec.kind != "local_adiabatic":
         raise ValidationError(
             f"schedule needs a local_adiabatic ramp spec, got kind {spec.kind!r}"
         )
-    s_grid, weights, clamped = diabaticity_weight(
-        spec, terms, shifts, gap_clamp_rad=gap_clamp_rad, use_symmetry=use_symmetry
-    )
+    s_grid, weights, clamped = diabaticity_weight(spec, terms, shifts)
     schedule = schedule_from_weight(s_grid, weights, spec.total_time_us)
     return replace(schedule, clamped=clamped) if clamped else schedule
 
 
-def ramp_pulse(spec, terms=None, shifts=None, schedule=None, time_points=2001):
+def ramp_pulse(spec, schedule=None):
     """Build the pulse realizing a ramp spec.
 
     linear maps s = t/T directly onto the shared parametrization;
-    local_adiabatic tabulates the controls along the diabaticity
-    schedule (computed from `terms` unless one is passed in).
-    optimal_control pulses come out of optimize_dcrab, not from a
-    closed form, so that kind is rejected here.
+    local_adiabatic tabulates the controls at RAMP_TIME_POINTS times along
+    `schedule`, which diabaticity_schedule computes.  optimal_control
+    pulses come out of optimize_dcrab, not from a closed form, so that
+    kind is rejected here.
     """
     if spec.kind == "optimal_control":
         raise ValidationError(
@@ -609,10 +592,10 @@ def ramp_pulse(spec, terms=None, shifts=None, schedule=None, time_points=2001):
             delta_bounds=delta_bounds,
         )
     if schedule is None:
-        if terms is None:
-            raise ValidationError("a local_adiabatic ramp needs Hamiltonian terms")
-        schedule = diabaticity_schedule(spec, terms, shifts)
-    times = np.linspace(0.0, spec.total_time_us, time_points)
+        raise ValidationError(
+            "a local_adiabatic ramp needs a schedule from diabaticity_schedule"
+        )
+    times = np.linspace(0.0, spec.total_time_us, RAMP_TIME_POINTS)
     s_values = schedule.s_of_t(times)
     return tabulated_pulse(
         spec.total_time_us,
@@ -685,7 +668,7 @@ class EigenpopulationTrace:
 
 
 def eigenpopulation_trace(pulse, terms, shifts=None, m=8, n_times=41,
-                          dt=DEFAULT_DT_US, use_symmetry=None):
+                          dt=DEFAULT_DT_US):
     """Populations of the lowest m instantaneous eigenstates along a pulse.
 
     The state starts from all atoms in the ground state and is sampled
@@ -701,7 +684,7 @@ def eigenpopulation_trace(pulse, terms, shifts=None, m=8, n_times=41,
         raise ValidationError("need at least the two endpoint samples")
     if pulse.tau <= 0:
         raise ValidationError("the pulse must have a positive duration")
-    simulator = PreparationSimulator(terms, shifts, dt=dt, use_symmetry=use_symmetry)
+    simulator = PreparationSimulator(terms, shifts, dt=dt)
     space = simulator.space
     sector = space if isinstance(space, SymmetrizedBasis) else None
     n_segments = n_times - 1

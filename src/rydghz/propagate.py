@@ -15,13 +15,15 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .basis import Basis, SymmetrizedBasis, ghz_component_values
+from .basis import SymmetrizedBasis
 from .errors import PropagationError, SpectralError, ValidationError
 from .hamiltonian import build_hamiltonian
 
 DEFAULT_DT_US = 0.001
 KRYLOV_TOL = 1e-12
 KRYLOV_MAX_DIM = 64
+# Eigenvalues this close to the ground energy count as degenerate with it.
+DEGENERACY_TOL = 1e-8
 _DENSE_SPECTRUM_CUTOFF = 600
 
 
@@ -135,6 +137,23 @@ def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
     )
 
 
+def step_grid(tau, dt):
+    """(n_steps, h): the requested dt rounded to n_steps = round(tau/dt)
+    equal steps of length h spanning tau.
+
+    A dt that is not a positive number, or that leaves no whole step in
+    tau, is refused.
+    """
+    if dt <= 0 or not np.isfinite(dt):
+        raise ValidationError(f"dt must be positive, got {dt}")
+    n_steps = int(round(tau / dt))
+    if n_steps < 1:
+        raise ValidationError(
+            f"dt={dt} does not divide the duration {tau} within rounding"
+        )
+    return n_steps, tau / n_steps
+
+
 class SampledEvolution:
     """Prepared midpoint-sampled propagator for one space.
 
@@ -171,20 +190,13 @@ class SampledEvolution:
 
         return matvec
 
-    def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, krylov_tol=KRYLOV_TOL,
-            max_krylov=KRYLOV_MAX_DIM, observer=None, observer_stride=1):
+    def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, observer=None, observer_stride=1):
         tau = pulse.tau
         if tau == 0.0:
             return amplitudes.astype(complex, copy=True)
-        if dt <= 0 or not np.isfinite(dt):
-            raise ValidationError(f"dt must be positive, got {dt}")
-        n_steps = int(round(tau / dt))
-        if n_steps < 1:
-            raise ValidationError(
-                f"dt={dt} does not divide the pulse duration {tau} within rounding"
-            )
-        # Steps are the requested dt rounded to a whole count of the duration.
-        h = tau / n_steps
+        n_steps, h = step_grid(tau, dt)
+        # Read once per run, outside the step loop.
+        tol, max_dim = KRYLOV_TOL, KRYLOV_MAX_DIM
         omegas, deltas = pulse.sample((np.arange(n_steps) + 0.5) * h)
         omegas, deltas = omegas.tolist(), deltas.tolist()
         amps = amplitudes.astype(complex, copy=True)
@@ -193,8 +205,7 @@ class SampledEvolution:
             matvec = self.matvec_at(omegas[step], deltas[step])
             try:
                 amps, m = krylov_expm_apply(
-                    matvec, amps, h, tol=krylov_tol, max_dim=max_krylov,
-                    start_check=start_check,
+                    matvec, amps, h, tol=tol, max_dim=max_dim, start_check=start_check,
                 )
             except PropagationError as exc:
                 raise PropagationError(str(exc), step_index=step) from None
@@ -204,15 +215,10 @@ class SampledEvolution:
         return amps
 
 
-def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, krylov_tol=KRYLOV_TOL,
-           max_krylov=KRYLOV_MAX_DIM, observer=None, observer_stride=1, coupling=None):
+def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, coupling=None):
     """Propagate `psi` through `pulse`; returns a new StateVector."""
     engine = SampledEvolution(psi.space, terms, shifts, coupling=coupling)
-    amps = engine.run(
-        psi.amplitudes, pulse, dt=dt, krylov_tol=krylov_tol, max_krylov=max_krylov,
-        observer=observer, observer_stride=observer_stride,
-    )
-    return StateVector(psi.space, amps)
+    return StateVector(psi.space, engine.run(psi.amplitudes, pulse, dt=dt))
 
 
 def evolve_under_diagonal(psi, generator_diag, duration):
@@ -249,7 +255,7 @@ class SpectrumSlice:
 
 
 def lowest_spectrum(terms, shifts, omega_rad, delta_rad, m, psi=None, space=None,
-                    param=0.0, degeneracy_tol=1e-8):
+                    param=0.0):
     """Lowest m eigenpairs of H(omega, delta); deterministic start vector.
 
     Small problems are solved densely; larger ones through a Lanczos
@@ -280,7 +286,7 @@ def lowest_spectrum(terms, shifts, omega_rad, delta_rad, m, psi=None, space=None
         evals, vecs = evals[order], vecs[:, order]
     e0 = float(evals[0])
     rel = evals - e0
-    degeneracy = int(np.sum(rel <= degeneracy_tol))
+    degeneracy = int(np.sum(rel <= DEGENERACY_TOL))
     overlaps = None
     if psi is not None:
         if psi.space.dim != diag_dim:

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .basis import Basis, ChainGeometry, SymmetrizedBasis, enumerate_basis
-from .controls import constant_pulse
+from .basis import ChainGeometry, SymmetrizedBasis, enumerate_basis
 from .detection import sample_shots
 from .errors import FitError, ValidationError
 from .hamiltonian import drive_coupling, staggered_field_generator
-from .propagate import DEFAULT_DT_US, StateVector, evolve
+from .propagate import DEFAULT_DT_US, StateVector, evolve, step_grid
 from .units import TWO_PI, mhz_to_angular
 
 _DENSE_UNITARY_CUTOFF = 1200
+# Periodogram grid points per inverse time span in dominant_frequency.
+PERIODOGRAM_OVERSAMPLE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +174,10 @@ class _ConstantDrive:
                 h += np.diag(self.diagonal)
                 self._unitary = (tau, expm(-1j * h * tau))
             return self._unitary[1] @ block
-        n_steps, h = _uniform_steps(tau, dt)
+        n_steps, h = step_grid(tau, dt)
         for _ in range(n_steps):
             block = self.step(block, h)
         return block
-
-
-def _uniform_steps(tau, dt):
-    """round(tau/dt) equal steps spanning tau; dt is refused as in evolve."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValidationError(f"dt must be positive, got {dt}")
-    n_steps = int(round(tau / dt))
-    if n_steps < 1:
-        raise ValidationError(
-            f"dt={dt} does not divide the duration {tau} within rounding"
-        )
-    return n_steps, tau / n_steps
 
 
 def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
@@ -235,7 +224,7 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     if basis.n_sites % 2:
         raise ValidationError("readout calibration needs an even chain")
     drive = _ConstantDrive.resonant(basis, terms, omega_mhz)
-    n_steps, h = _uniform_steps(t_max_us, dt)
+    n_steps, h = step_grid(t_max_us, dt)
     pair = np.zeros((basis.dim, 2), dtype=complex)
     pair[list(basis.ghz_indices()), [0, 1]] = 1.0
     q_curve = np.empty(n_steps, dtype=complex)
@@ -331,21 +320,23 @@ def fit_fixed_frequency(times_us, values, frequency_mhz, weights=None):
     return _fit_cosine(times_us, values, mhz_to_angular(frequency_mhz), weights=weights)
 
 
-def dominant_frequency(times_us, values, f_max_mhz=None, oversample=32):
-    """Peak of the demeaned periodogram, refined parabolically (MHz).
+def dominant_frequency(times_us, values, f_max_mhz=None):
+    """Peak of the demeaned periodogram, refined by a cosine fit (MHz).
 
     Diagnostic companion to the fixed-frequency fit; the grid step is the
-    inverse time span divided by `oversample`.
+    inverse time span divided by PERIODOGRAM_OVERSAMPLE.  The grid ends at
+    f_max_mhz, by default the Nyquist limit of the smallest positive
+    spacing between sample times (repeated times add no resolution).
     """
     t = np.asarray(times_us, dtype=float)
     y = np.asarray(values, dtype=float) - np.mean(values)
     span = t.max() - t.min()
     if span <= 0 or t.size < 4:
         raise FitError("need a spread of sample times to locate a frequency")
-    df = 1.0 / (span * oversample)
+    df = 1.0 / (span * PERIODOGRAM_OVERSAMPLE)
     if f_max_mhz is None:
-        dt_min = np.min(np.diff(np.sort(t)))
-        f_max_mhz = 0.5 / dt_min
+        gaps = np.diff(np.sort(t))
+        f_max_mhz = 0.5 / gaps[gaps > 0].min()
     freqs = np.arange(df, f_max_mhz + df, df)
     phases = TWO_PI * np.outer(freqs, t)
     power = np.abs(np.cos(phases) @ y - 1j * (np.sin(phases) @ y))

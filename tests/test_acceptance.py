@@ -205,8 +205,7 @@ def test_criterion_07_ramp_ordering_and_budget():
     f_linear = simulator12.evaluate(linear_pulse, fom)
     la_spec = RampSpec(kind="local_adiabatic", total_time_us=1.1)
     la_schedule = diabaticity_schedule(la_spec, terms12, shifts=shifts12)
-    la_pulse = ramp_pulse(la_spec, terms=terms12, shifts=shifts12,
-                          schedule=la_schedule)
+    la_pulse = ramp_pulse(la_spec, schedule=la_schedule)
     f_la = simulator12.evaluate(la_pulse, fom)
     result12 = optimize_dcrab(
         linear_pulse, fom,
@@ -254,8 +253,8 @@ def test_criterion_08_doppler_decay_scaling():
         psi = ghz_state(basis, 0.0)
         analytic_t = np.sqrt(2.0) / (TWO_PI * sigma_mhz * np.sqrt(n))
         grid = np.linspace(0.0, 1.2 * analytic_t, 25)
-        model = NoiseModel.doppler_only(n_realizations=1000, seed=5)
-        decay = decohered_ghz_coherence(psi, model, grid)
+        model = NoiseModel.doppler_only(seed=5)
+        decay = decohered_ghz_coherence(psi, model, grid, n_realizations=1000)
         fitted[n] = decay.gaussian_time_us
         shapes_ok = shapes_ok and decay.gaussian_residual < decay.exponential_residual
         oracle = decay.initial_modulus * gaussian_coherence_modulus(

@@ -131,6 +131,6 @@ class TestTableData:
         assert TableData.from_text(scan_text).to_text() == scan_text
 
         decay_text = decohered_ghz_coherence(
-            ghz, NoiseModel.doppler_only(n_realizations=16), np.linspace(0.0, 2.0, 5)
+            ghz, NoiseModel.doppler_only(), np.linspace(0.0, 2.0, 5), n_realizations=16
         ).to_table()
         assert TableData.from_text(decay_text).to_text() == decay_text

@@ -56,7 +56,6 @@ class TestNoiseModel:
         assert model.position_sigma == 0.05
         assert model.scattering_time_us == 75.0
         assert model.rydberg_lifetime_us == 150.0
-        assert model.n_realizations >= 1
         assert model.seed == 0
         assert not model.decay_free
 
@@ -72,16 +71,13 @@ class TestNoiseModel:
         with pytest.raises(ValidationError):
             NoiseModel(rydberg_lifetime_us=-5.0)
         with pytest.raises(ValidationError):
-            NoiseModel(n_realizations=0)
-        with pytest.raises(ValidationError):
             NoiseModel(seed=-1)
 
     def test_doppler_only_switches_decay_off(self):
-        model = NoiseModel.doppler_only(doppler_sigma_mhz=0.1, n_realizations=7, seed=3)
+        model = NoiseModel.doppler_only(doppler_sigma_mhz=0.1, seed=3)
         assert model.decay_free
         assert model.position_sigma == 0.0
         assert model.doppler_sigma_mhz == 0.1
-        assert model.n_realizations == 7
         assert model.seed == 3
 
 
@@ -176,7 +172,8 @@ class TestDecoheredGhzCoherence:
         basis = enumerate_basis(ChainGeometry(8))
         psi = ghz_state(basis, 0.0)
         grid = np.linspace(0.0, 1.3 * analytic_dephasing_time(8), 27)
-        decay = decohered_ghz_coherence(psi, NoiseModel.doppler_only(n_realizations=1000), grid)
+        decay = decohered_ghz_coherence(psi, NoiseModel.doppler_only(), grid,
+                                        n_realizations=1000)
         oracle = 0.5 * gaussian_coherence_modulus(grid, SIGMA_DEFAULT, 8)
         dev = np.abs(decay.modulus - oracle)
         assert dev[0] < 1e-14
@@ -186,9 +183,9 @@ class TestDecoheredGhzCoherence:
         # The vectorized phase average must equal evolving each disorder
         # diagonal (interaction included; its phase is common to A, Abar).
         basis, terms, _ = chain4
-        model = NoiseModel.doppler_only(n_realizations=50)
+        model = NoiseModel.doppler_only()
         times = np.array([0.0, 0.4, 0.9, 1.7])
-        decay = decohered_ghz_coherence(ghz4, model, times)
+        decay = decohered_ghz_coherence(ghz4, model, times, n_realizations=50)
         bits = basis.bits_matrix().astype(float)
         for j, t in enumerate(times):
             acc = 0.0 + 0.0j
@@ -203,7 +200,8 @@ class TestDecoheredGhzCoherence:
 
     def test_gaussian_fits_better_than_exponential(self, ghz4):
         grid = np.linspace(0.0, 1.2 * analytic_dephasing_time(4), 25)
-        decay = decohered_ghz_coherence(ghz4, NoiseModel.doppler_only(n_realizations=800), grid)
+        decay = decohered_ghz_coherence(ghz4, NoiseModel.doppler_only(), grid,
+                                        n_realizations=800)
         assert decay.gaussian_residual < decay.exponential_residual
         assert abs(decay.gaussian_time_us / analytic_dephasing_time(4) - 1.0) < 0.1
 
@@ -213,15 +211,15 @@ class TestDecoheredGhzCoherence:
             basis = enumerate_basis(ChainGeometry(n))
             psi = ghz_state(basis, 0.0)
             grid = np.linspace(0.0, 1.2 * analytic_dephasing_time(n), 25)
-            model = NoiseModel.doppler_only(n_realizations=1000)
-            fitted[n] = decohered_ghz_coherence(psi, model, grid).gaussian_time_us
+            fitted[n] = decohered_ghz_coherence(psi, NoiseModel.doppler_only(), grid,
+                                                n_realizations=1000).gaussian_time_us
         assert abs(fitted[8] / fitted[20] / math.sqrt(2.5) - 1.0) < 0.1
 
     def test_survival_scales_modulus(self, ghz4):
         grid = np.linspace(0.0, 2.0, 9)
-        free = decohered_ghz_coherence(ghz4, NoiseModel.doppler_only(n_realizations=64), grid)
-        lossy_model = NoiseModel(position_sigma=0.0, n_realizations=64)
-        lossy = decohered_ghz_coherence(ghz4, lossy_model, grid)
+        free = decohered_ghz_coherence(ghz4, NoiseModel.doppler_only(), grid, n_realizations=64)
+        lossy_model = NoiseModel(position_sigma=0.0)
+        lossy = decohered_ghz_coherence(ghz4, lossy_model, grid, n_realizations=64)
         weight = hold_survival(4, lossy_model, grid)
         assert np.array_equal(lossy.modulus, free.modulus * weight)
         assert np.array_equal(lossy.stderr, free.stderr * weight)
@@ -231,28 +229,28 @@ class TestDecoheredGhzCoherence:
         sym = symmetry_sector(basis, "even")
         psi_sector = StateVector(sym, sym.to_sector(ghz4.amplitudes))
         grid = np.linspace(0.0, 2.0, 9)
-        model = NoiseModel.doppler_only(n_realizations=64)
-        from_sector = decohered_ghz_coherence(psi_sector, model, grid)
-        from_full = decohered_ghz_coherence(ghz4, model, grid)
+        model = NoiseModel.doppler_only()
+        from_sector = decohered_ghz_coherence(psi_sector, model, grid, n_realizations=64)
+        from_full = decohered_ghz_coherence(ghz4, model, grid, n_realizations=64)
         assert np.allclose(from_sector.modulus, from_full.modulus, atol=1e-14)
 
     def test_zero_sigma_keeps_coherence_constant(self, ghz4):
-        model = NoiseModel.doppler_only(doppler_sigma_mhz=0.0, n_realizations=16)
-        decay = decohered_ghz_coherence(ghz4, model, np.linspace(0.0, 5.0, 6))
+        model = NoiseModel.doppler_only(doppler_sigma_mhz=0.0)
+        decay = decohered_ghz_coherence(ghz4, model, np.linspace(0.0, 5.0, 6), n_realizations=16)
         assert np.allclose(decay.modulus, 0.5, atol=1e-15)
         assert np.all(decay.stderr == 0.0)
 
     def test_fit_failure_attaches_curve(self, ghz4):
         with pytest.raises(FitError) as excinfo:
             decohered_ghz_coherence(
-                ghz4, NoiseModel.doppler_only(n_realizations=16), np.array([0.0, 1.0])
+                ghz4, NoiseModel.doppler_only(), np.array([0.0, 1.0]), n_realizations=16
             )
         times, modulus, stderr = excinfo.value.curve
         assert times.shape == modulus.shape == stderr.shape == (2,)
 
     def test_validation(self, chain4, ghz4):
         basis, _, _ = chain4
-        model = NoiseModel.doppler_only(n_realizations=16)
+        model = NoiseModel.doppler_only()
         with pytest.raises(ValidationError):
             decohered_ghz_coherence(ghz4, model, np.array([]))
         with pytest.raises(ValidationError):
@@ -268,7 +266,7 @@ class TestDecoheredGhzCoherence:
 
     def test_table_output(self, ghz4):
         decay = decohered_ghz_coherence(
-            ghz4, NoiseModel.doppler_only(n_realizations=16), np.linspace(0.0, 2.0, 5)
+            ghz4, NoiseModel.doppler_only(), np.linspace(0.0, 2.0, 5), n_realizations=16
         )
         lines = decay.to_table().strip().split("\n")
         assert lines[0] == "# rydghz-coherence-decay"
@@ -278,7 +276,7 @@ class TestDecoheredGhzCoherence:
         assert (t, m, s) == (0.0, decay.modulus[0], decay.stderr[0])
 
     def test_realization_count_override(self, ghz4):
-        model = NoiseModel.doppler_only(n_realizations=16)
+        model = NoiseModel.doppler_only()
         decay = decohered_ghz_coherence(ghz4, model, np.linspace(0.0, 2.0, 5), n_realizations=48)
         assert decay.n_realizations == 48
         assert isinstance(decay, CoherenceDecay)
@@ -291,9 +289,9 @@ class TestNoisyPreparation:
         silent = NoiseModel(
             doppler_sigma_mhz=0.0, position_sigma=0.0,
             scattering_time_us=math.inf, rydberg_lifetime_us=math.inf,
-            n_realizations=3,
         )
-        result = noisy_preparation(pulse, terms, silent, shifts=shifts, dt=0.002)
+        result = noisy_preparation(pulse, terms, silent, shifts=shifts, n_realizations=3,
+                                   dt=0.002)
         reference = SampledEvolution(basis, terms, shifts).run(
             ground_state(basis).amplitudes, pulse, dt=0.002
         )
@@ -306,7 +304,7 @@ class TestNoisyPreparation:
         basis, terms, shifts = chain4
         pulse = standard_guess_pulse(0.5)
         noisy = noisy_preparation(
-            pulse, terms, NoiseModel(n_realizations=8), shifts=shifts, dt=0.002
+            pulse, terms, NoiseModel(), shifts=shifts, n_realizations=8, dt=0.002
         )
         reference = SampledEvolution(basis, terms, shifts).run(
             ground_state(basis).amplitudes, pulse, dt=0.002
@@ -331,9 +329,9 @@ class TestNoisyPreparation:
     def test_deterministic_by_model_seed(self, chain4):
         _, terms, shifts = chain4
         pulse = standard_guess_pulse(0.3)
-        model = NoiseModel(seed=9, n_realizations=4)
-        first = noisy_preparation(pulse, terms, model, shifts=shifts, dt=0.005)
-        again = noisy_preparation(pulse, terms, model, shifts=shifts, dt=0.005)
+        model = NoiseModel(seed=9)
+        first = noisy_preparation(pulse, terms, model, shifts=shifts, n_realizations=4, dt=0.005)
+        again = noisy_preparation(pulse, terms, model, shifts=shifts, n_realizations=4, dt=0.005)
         assert np.array_equal(first.fidelities, again.fidelities)
         assert np.array_equal(first.survivals, again.survivals)
 
@@ -341,7 +339,7 @@ class TestNoisyPreparation:
         _, terms, shifts = chain4
         pulse = standard_guess_pulse(0.3)
         result = noisy_preparation(
-            pulse, terms, NoiseModel(n_realizations=5), shifts=shifts, dt=0.005
+            pulse, terms, NoiseModel(), shifts=shifts, n_realizations=5, dt=0.005
         )
         assert len(result.decompositions) == 5
         assert np.all(result.survivals > 0.0) and np.all(result.survivals < 1.0)
@@ -352,19 +350,40 @@ class TestNoisyPreparation:
     def test_metadata_flags_survival_simplification(self, chain4):
         _, terms, shifts = chain4
         result = noisy_preparation(
-            standard_guess_pulse(0.3), terms, NoiseModel(n_realizations=2),
-            shifts=shifts, dt=0.005,
+            standard_guess_pulse(0.3), terms, NoiseModel(), shifts=shifts,
+            n_realizations=2, dt=0.005,
         )
         assert any("survival weight" in note for note in result.simplifications)
 
-    def test_realization_count_from_model(self, chain4):
+    def test_realization_count_sets_result_size(self, chain4):
         _, terms, shifts = chain4
         result = noisy_preparation(
-            standard_guess_pulse(0.3), terms, NoiseModel(n_realizations=3),
-            shifts=shifts, dt=0.005,
+            standard_guess_pulse(0.3), terms, NoiseModel(), shifts=shifts,
+            n_realizations=3, dt=0.005,
         )
         assert result.n_realizations == 3
         assert result.fidelities.shape == (3,)
         mean, stderr = result
         assert mean == result.mean_fidelity
         assert stderr == result.fidelity_stderr
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_realization_count_below_one_is_refused(self, chain4, count):
+        _, terms, shifts = chain4
+        with pytest.raises(ValidationError):
+            noisy_preparation(standard_guess_pulse(0.3), terms, NoiseModel(), shifts=shifts,
+                              n_realizations=count, dt=0.005)
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan, -0.005])
+    def test_bad_dt_is_refused(self, chain4, dt):
+        _, terms, shifts = chain4
+        with pytest.raises(ValidationError):
+            noisy_preparation(standard_guess_pulse(0.3), terms, NoiseModel(), shifts=shifts,
+                              n_realizations=2, dt=dt)
+
+    def test_zero_duration_pulse_leaves_the_ground_state(self, chain4):
+        _, terms, shifts = chain4
+        result = noisy_preparation(standard_guess_pulse(0.0), terms, NoiseModel(),
+                                   shifts=shifts, n_realizations=2)
+        assert np.all(result.survivals == 1.0)
+        assert all(d.population_a == d.population_abar == 0.0 for d in result.decompositions)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydghz import optimize
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
 from rydghz.controls import standard_guess_pulse
 from rydghz.errors import (
@@ -165,9 +166,6 @@ class TestDcrabConfig:
         cfg = DcrabConfig()
         assert cfg.super_iterations == 8
         assert cfg.max_evaluations == 200
-        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
-            1.0, 2.0, 0.5, 0.5,
-        )
         assert cfg.fom_tolerance == pytest.approx(1e-5)
 
     def test_validation(self):
@@ -179,8 +177,6 @@ class TestDcrabConfig:
             DcrabConfig(fom_tolerance=0.0)
         with pytest.raises(ValidationError):
             DcrabConfig(simplex_scale_mhz=-1.0)
-        with pytest.raises(ValidationError):
-            DcrabConfig(shrink=1.5)
 
 
 class TestDcrab:
@@ -374,20 +370,24 @@ class TestDiabaticitySchedule:
             diabaticity_schedule(RampSpec("linear", 1.0), terms, shifts)
 
     def test_degenerate_ground_state_raises(self, chain4):
-        # In the full basis the two staggered orderings become an exactly
-        # degenerate ground doublet as the drive envelope closes near s=1;
-        # the even-sector treatment never sees the crossing.
-        _, terms, shifts = chain4
+        # These shifts break the reflection symmetry of the static diagonal,
+        # so the weight is taken in the full basis, yet both staggered
+        # orderings carry the same -6 MHz of shift: they become an exactly
+        # degenerate ground doublet as the drive envelope closes near s=1.
+        _, terms, _ = chain4
+        shifts = LocalShifts((-6.0, -1.5, 0.0, -4.5))
+        assert not terms.static_is_reflection_symmetric(shifts)
         spec = RampSpec("local_adiabatic", 1.0)
         with pytest.raises(ScheduleSingularityError) as excinfo:
-            diabaticity_weight(spec, terms, shifts, use_symmetry=False)
+            diabaticity_weight(spec, terms, shifts)
         assert excinfo.value.s_star is not None
         assert excinfo.value.s_star > 0.9
 
-    def test_gap_clamp_is_flagged(self, chain4):
+    def test_gap_clamp_is_flagged(self, chain4, monkeypatch):
         _, terms, shifts = chain4
+        monkeypatch.setattr(optimize, "GAP_CLAMP_RAD", 1e9)
         spec = RampSpec("local_adiabatic", 1.0, grid_points=21, eigenstate_count=4)
-        schedule = diabaticity_schedule(spec, terms, shifts, gap_clamp_rad=1e9)
+        schedule = diabaticity_schedule(spec, terms, shifts)
         assert schedule.clamped
         assert np.all(np.isfinite(schedule.weights))
 
@@ -399,7 +399,9 @@ class TestDiabaticitySchedule:
         fom = FigureOfMerit()
         spec = RampSpec("local_adiabatic", 1.1)
         f_linear = sim.evaluate(ramp_pulse(RampSpec("linear", 1.1)), fom)
-        f_local = sim.evaluate(ramp_pulse(spec, terms, shifts), fom)
+        f_local = sim.evaluate(
+            ramp_pulse(spec, schedule=diabaticity_schedule(spec, terms, shifts)), fom
+        )
         assert f_local > f_linear + 0.05
 
 
@@ -414,7 +416,7 @@ class TestRampPulse:
     def test_local_adiabatic_endpoint_values(self, chain4):
         _, terms, shifts = chain4
         spec = RampSpec("local_adiabatic", 1.1, grid_points=101)
-        pulse = ramp_pulse(spec, terms, shifts)
+        pulse = ramp_pulse(spec, schedule=diabaticity_schedule(spec, terms, shifts))
         omega0, delta0 = pulse.sample_mhz(0.0)
         omega1, delta1 = pulse.sample_mhz(1.1)
         assert omega0 == pytest.approx(0.0, abs=1e-9)
@@ -426,7 +428,7 @@ class TestRampPulse:
         with pytest.raises(ValidationError):
             ramp_pulse(RampSpec("optimal_control", 1.1))
 
-    def test_local_adiabatic_needs_terms(self):
+    def test_local_adiabatic_needs_a_schedule(self):
         with pytest.raises(ValidationError):
             ramp_pulse(RampSpec("local_adiabatic", 1.1))
 
@@ -453,7 +455,8 @@ class TestEigenpopulationTrace:
 
     def test_quench_regions_bracket_the_slow_middle(self, chain4):
         _, terms, shifts = chain4
-        pulse = ramp_pulse(RampSpec("local_adiabatic", 1.1), terms, shifts)
+        spec = RampSpec("local_adiabatic", 1.1)
+        pulse = ramp_pulse(spec, schedule=diabaticity_schedule(spec, terms, shifts))
         trace = eigenpopulation_trace(pulse, terms, shifts, m=3, n_times=41, dt=0.0025)
         region = trace.quench_regions()
         assert region is not None
@@ -517,12 +520,6 @@ class TestPreparationSimulator:
         lopsided = LocalShifts((3.0, 0.0, 0.0, 0.0))
         sim = PreparationSimulator(terms, lopsided)
         assert sim.space is basis
-
-    def test_forcing_symmetry_on_asymmetric_shifts_fails(self, chain4):
-        _, terms, _ = chain4
-        lopsided = LocalShifts((3.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValidationError):
-            PreparationSimulator(terms, lopsided, use_symmetry=True)
 
     def test_final_state_is_normalized(self, chain4, sim4):
         state = sim4.final_state(standard_guess_pulse(0.2))

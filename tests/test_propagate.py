@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rydghz import propagate
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
 from rydghz.controls import CrabExpansion, Pulse, Waveform, constant_pulse, standard_guess_pulse
 from rydghz.errors import PropagationError, ValidationError
@@ -89,12 +90,12 @@ def test_step_halving_converges():
     assert abs(1.0 - abs(base.overlap(fine))) < 1e-8
 
 
-def test_krylov_nonconvergence_reports_step():
+def test_krylov_nonconvergence_reports_step(monkeypatch):
     basis = enumerate_basis(ChainGeometry(6))
     terms = build_terms(basis)
+    monkeypatch.setattr(propagate, "KRYLOV_MAX_DIM", 2)
     with pytest.raises(PropagationError) as err:
-        evolve(ground_state(basis), standard_guess_pulse(1.0), terms,
-               dt=0.5, max_krylov=2)
+        evolve(ground_state(basis), standard_guess_pulse(1.0), terms, dt=0.5)
     assert err.value.step_index is not None
 
 

@@ -280,6 +280,12 @@ class TestFits:
         with pytest.raises(FitError):
             dominant_frequency(np.zeros(8), np.ones(8))
 
+    def test_dominant_frequency_repeated_time(self):
+        # The default Nyquist limit comes from the smallest positive spacing.
+        t = np.array([0.0, 0.1, 0.1, 0.2, 0.3, 0.4])
+        y = np.cos(TWO_PI * 1.5 * t + 0.2)
+        assert dominant_frequency(t, y) == pytest.approx(1.5, rel=1e-4)
+
 
 class TestParityScan:
     def test_default_grid(self):
