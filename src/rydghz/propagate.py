@@ -5,7 +5,10 @@ controls are sampled once per run, at the center of every dt step, and
 held there for the step.  Each step is applied with a Lanczos (Krylov)
 matrix exponential at a fixed per-step tolerance; the Lanczos basis is
 kept orthogonal by two classical Gram-Schmidt passes per new vector.
-Diagonal generators are advanced with exact phases.
+The same Lanczos loop gives dense output under a constant generator:
+one basis yields exp(-i t H) v at every requested time it reaches, and a
+single step is its one-time case.  Diagonal generators are advanced with
+exact phases.
 """
 
 import math
@@ -92,21 +95,28 @@ def ghz_state(basis, phi=0.0):
     return StateVector(basis, amps)
 
 
-def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
-                      start_check=3):
-    """exp(-1j*dt*H) @ vec for Hermitian H given through `matvec`.
+def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
+                        start_check=3):
+    """exp(-1j*t*H) @ vec at the leading `times` one Lanczos basis reaches.
 
-    Lanczos with full reorthogonalization: each new vector is projected
-    off the whole basis by classical Gram-Schmidt applied twice, and the
-    first pass's last coefficient is the Lanczos alpha.  dt may be negative
-    (backward in time).  The a-posteriori error estimate |dt| * beta_m * |u_m|
-    must drop below `tol` (relative to |vec|) or PropagationError is raised.
-    Returns (result, krylov_dim).
+    Lanczos for Hermitian H given through `matvec`, with full
+    reorthogonalization: each new vector is projected off the whole basis
+    by classical Gram-Schmidt applied twice, and the first pass's last
+    coefficient is the Lanczos alpha.  The basis grows until the last of
+    `times` (any order or sign) meets the a-posteriori estimate
+    |t| * beta_m * |u_m(t)| <= `tol` (relative to |vec|), or until
+    `max_dim` vectors; convergence is first checked at `start_check`
+    vectors.  Returns (basis, coeffs): the m basis vectors as rows and one
+    row of m coefficients for each leading time whose estimate meets
+    `tol`, so the state at times[k] is coeffs[k] @ basis (Park & Light,
+    J. Chem. Phys. 85, 5870 (1986)).  When not even times[0] meets `tol`,
+    PropagationError is raised.
     """
     nrm = math.sqrt(np.vdot(vec, vec).real)
-    if nrm == 0.0 or dt == 0.0:
-        return vec.astype(complex, copy=True), 0
-    abs_dt = abs(dt)
+    if nrm == 0.0:
+        return np.zeros((1, vec.size), dtype=complex), np.zeros((len(times), 1), dtype=complex)
+    t_last = times[-1]
+    abs_last = abs(t_last)
     dim = vec.size
     max_dim = min(max_dim, dim)
     v = np.empty((max_dim, dim), dtype=complex)
@@ -124,17 +134,37 @@ def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
         m = j + 1
         if m >= start_check or b < 1e-14 or m == max_dim:
             evals, q = np.linalg.eigh(tridiag[:m, :m])
-            u = q @ (np.exp(-1j * dt * evals) * q[0])
-            err = abs_dt * b * abs(u[-1])
-            if err <= tol or b < 1e-14:
-                return (u * nrm) @ v[:m], m
-        if m == max_dim:
-            break
+            u = q @ (np.exp(-1j * t_last * evals) * q[0])
+            converged = abs_last * b * abs(u[-1]) <= tol or b < 1e-14
+            if converged or m == max_dim:
+                break
         tridiag[j, j + 1] = tridiag[j + 1, j] = b
         v[j + 1] = w / b
-    raise PropagationError(
-        f"Krylov step did not reach tolerance {tol} within dimension {max_dim}"
-    )
+    if len(times) == 1:
+        n_met, rows = int(converged), u[None, :]
+    else:
+        times = np.asarray(times, dtype=float)
+        rows = (np.exp(-1j * np.multiply.outer(times, evals)) * q[0]) @ q.T
+        met = (np.abs(times) * b * np.abs(rows[:, -1]) <= tol) | (b < 1e-14)
+        n_met = times.size if met.all() else int(np.argmin(met))
+    if n_met == 0:
+        raise PropagationError(
+            f"Krylov step did not reach tolerance {tol} within dimension {max_dim}"
+        )
+    return v[:m], rows[:n_met] * nrm
+
+
+def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
+                      start_check=3):
+    """exp(-1j*dt*H) @ vec: the one-time case of krylov_dense_output.
+
+    dt may be negative (backward in time).  Returns (result, krylov_dim).
+    """
+    if dt == 0.0:
+        return vec.astype(complex, copy=True), 0
+    basis, coeffs = krylov_dense_output(matvec, vec, (dt,), tol=tol, max_dim=max_dim,
+                                        start_check=start_check)
+    return coeffs[0] @ basis, basis.shape[0]
 
 
 def step_grid(tau, dt):

@@ -131,7 +131,9 @@ class _ConstantDrive:
     each column's first convergence check carried over as in
     SampledEvolution.run.  rotate applies exp(-i tau H): one dense expm,
     kept for reuse, up to _DENSE_UNITARY_CUTOFF states, else round(tau/dt)
-    equal steps.
+    equal steps.  overlap_curve reads a whole time grid by Krylov dense
+    output.  Krylov settings are read from the propagate module at call
+    time, as SampledEvolution.run reads them.
     """
 
     def __init__(self, coupling, diagonal, omega_rad):
@@ -153,15 +155,17 @@ class _ConstantDrive:
         return self.omega_rad * (self.coupling @ x) + self.diagonal * x
 
     def step(self, block, h):
-        from .propagate import krylov_expm_apply
+        from . import propagate
 
+        tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
         checks = self._start_checks
         if len(checks) != block.shape[1]:
             checks[:] = [3] * block.shape[1]
         out = np.empty(block.shape, dtype=complex, order="F")
         for k in range(block.shape[1]):
-            out[:, k], m = krylov_expm_apply(self._matvec, block[:, k], h,
-                                             start_check=checks[k])
+            out[:, k], m = propagate.krylov_expm_apply(
+                self._matvec, block[:, k], h, tol=tol, max_dim=max_dim, start_check=checks[k],
+            )
             checks[k] = max(3, m - 1)
         return out
 
@@ -178,6 +182,48 @@ class _ConstantDrive:
         for _ in range(n_steps):
             block = self.step(block, h)
         return block
+
+    def overlap_curve(self, ket, bra, weights, times, mirror=None):
+        """<U(t) bra| diag(weights) |U(t) ket> at each of `times`, U(t) = exp(-i t H).
+
+        With `mirror`, the index array of a permutation R that commutes with
+        H and the weights, bra is taken as R ket and only ket is evolved:
+        U(t) R ket = R U(t) ket.  The times, of any sign and order, are
+        visited in ascending order; each Lanczos basis serves every time it
+        reaches (see propagate.krylov_dense_output) and the next basis starts
+        from the state at the last of them.  A gap between neighbouring
+        times that no basis of KRYLOV_MAX_DIM vectors reaches raises
+        PropagationError.
+        """
+        order = np.argsort(times, kind="stable")
+        ahead = times[order]
+        states = [ket] if mirror is not None else [ket, bra]
+        values = np.empty(times.size, dtype=complex)
+        done, now = 0, 0.0
+        while done < times.size:
+            chunk, states = self._overlap_segment(states, ahead[done:] - now, weights, mirror)
+            values[order[done:done + chunk.size]] = chunk
+            done += chunk.size
+            now = ahead[done - 1]
+        return values
+
+    def _overlap_segment(self, states, times, weights, mirror):
+        """Overlaps at the leading `times` one Lanczos basis per state reaches,
+        and the states at the last of those times."""
+        from . import propagate
+
+        tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
+        parts = [propagate.krylov_dense_output(self._matvec, s, times, tol=tol,
+                                               max_dim=max_dim) for s in states]
+        n = min(coeffs.shape[0] for _, coeffs in parts)
+        (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
+        gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
+        # Eight bra vectors at a time: no full-size copy of a basis.
+        for lo in range(0, gram.shape[0], 8):
+            rows = ket_basis[lo:lo + 8, mirror] if mirror is not None else bra_basis[lo:lo + 8]
+            gram[lo:lo + 8] = (rows.conj() * weights) @ ket_basis.T
+        chunk = np.einsum("tm,mn,tn->t", bra_coeffs[:n].conj(), gram, ket_coeffs[:n])
+        return chunk, [coeffs[n - 1] @ basis for basis, coeffs in parts]
 
 
 def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
@@ -215,23 +261,24 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     """Scan the readout duration on a uniform grid (1 ns by default).
 
     The contrast (E_plus - E_minus)/2 between opposite-phase GHZ inputs
-    equals Re <U Abar|P|U A>, so stepping |A> and |Abar> together through
-    round(t_max/dt) equal Krylov steps yields the whole curve, one point
-    per step, with no stored history.  The curve's times are the times
-    stepped to.
+    equals Re q(t) with q(t) = <U Abar|P|U A>.  The curve is read at the
+    round(t_max/dt) grid times h*k of step_grid by Krylov dense output:
+    one Lanczos basis serves every grid time it reaches, with no stored
+    history.  When the static diagonal is reflection symmetric (the rule
+    the parity scan uses), the reflection R commutes with H and P, so
+    U|Abar> = R U|A> and only |A> is evolved; otherwise both orderings are.
     """
     basis = terms.basis
     if basis.n_sites % 2:
         raise ValidationError("readout calibration needs an even chain")
     drive = _ConstantDrive.resonant(basis, terms, omega_mhz)
     n_steps, h = step_grid(t_max_us, dt)
-    pair = np.zeros((basis.dim, 2), dtype=complex)
-    pair[list(basis.ghz_indices()), [0, 1]] = 1.0
-    q_curve = np.empty(n_steps, dtype=complex)
-    for k in range(n_steps):
-        pair = drive.step(pair, h)
-        q_curve[k] = np.vdot(pair[:, 1], basis.parity * pair[:, 0])
     times = h * np.arange(1, n_steps + 1)
+    ket, bra = np.zeros((2, basis.dim), dtype=complex)
+    i_a, i_abar = basis.ghz_indices()
+    ket[i_a] = bra[i_abar] = 1.0
+    mirror = basis.reflection if terms.static_is_reflection_symmetric() else None
+    q_curve = drive.overlap_curve(ket, bra, basis.parity, times, mirror)
     contrast_curve = q_curve.real
     best = int(np.argmax(contrast_curve))
     return UxCalibration(
@@ -697,32 +744,26 @@ def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0
     states |++...> and |--...>; the resonant drive acts as
     (omega/sqrt(2)) * sum_j Sx.  With interactions off the contrast peaks
     exactly at omega * t = pi / sqrt(2); blockade (v) and next-nearest
-    neighbor (v2) couplings between dimers reduce it.  The states are
-    stepped between grid times, either way, in Krylov steps of about dt.
+    neighbor (v2) couplings between dimers reduce it.  The contrast
+    (E_plus - E_minus)/2 equals Re <U --|P|U ++>, read at `times_us`, in
+    any order or sign, by Krylov dense output (see
+    _ConstantDrive.overlap_curve); without them the grid is step_grid's
+    h*k up to 0.75/omega us for the requested dt.
     """
     if n_dimers < 1:
         raise ValidationError("need at least one dimer")
     if times_us is None:
-        t_max = 0.15 * 5.0 / omega_mhz
-        times_us = dt * np.arange(1, int(round(t_max / dt)) + 1)
+        n_steps, h = step_grid(0.15 * 5.0 / omega_mhz, dt)
+        times_us = h * np.arange(1, n_steps + 1)
     else:
         times_us = np.asarray(times_us, dtype=float)
     coupling, diagonal, parity = _dimer_operators(
         n_dimers, mhz_to_angular(v_mhz), mhz_to_angular(v2_mhz)
     )
     drive = _ConstantDrive(coupling, diagonal, mhz_to_angular(omega_mhz))
-    ghz_pair = np.zeros((diagonal.size, 2), dtype=complex)
-    ghz_pair[0] = 1.0 / np.sqrt(2.0)  # |++...+>
-    ghz_pair[-1] = np.array([1.0, -1.0]) / np.sqrt(2.0)  # |--...->
-    contrast = np.empty(times_us.size)
-    previous_t = 0.0
-    for j, t in enumerate(times_us):
-        n_steps = max(1, int(round(abs(t - previous_t) / dt)))
-        for _ in range(n_steps):
-            ghz_pair = drive.step(ghz_pair, (t - previous_t) / n_steps)
-        previous_t = t
-        e_plus, e_minus = parity @ (np.abs(ghz_pair) ** 2)
-        contrast[j] = (e_plus - e_minus) / 2.0
+    plus, minus = np.zeros((2, diagonal.size), dtype=complex)
+    plus[0] = minus[-1] = 1.0  # |++...+>, |--...->
+    contrast = drive.overlap_curve(plus, minus, parity, times_us).real
     best = int(np.argmax(contrast))
     return DimerContrast(
         times_us=times_us,

@@ -44,8 +44,12 @@ def brute_force_sector_dims(n_sites, max_adjacent_pairs=0):
 
 
 def dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad, v_mhz=24.0,
-                      interaction_range=3):
-    """Dense H built independently from the configuration bitstrings."""
+                      interaction_range=3, bond_factors=None):
+    """Dense H built independently from the configuration bitstrings.
+
+    bond_factors, one per nearest-neighbour bond, scale that bond's
+    interaction.
+    """
     n = basis.n_sites
     dim = basis.dim
     h = np.zeros((dim, dim))
@@ -59,7 +63,8 @@ def dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad, v_mhz=24.0,
             diag -= (delta_rad + TWO_PI * shifts[a]) * bits[a]
             for b_ in range(a + 1, n):
                 if b_ - a <= interaction_range:
-                    diag += TWO_PI * v_mhz / (b_ - a) ** 6 * bits[a] * bits[b_]
+                    factor = 1.0 if bond_factors is None or b_ - a > 1 else bond_factors[a]
+                    diag += factor * TWO_PI * v_mhz / (b_ - a) ** 6 * bits[a] * bits[b_]
         h[i, i] = diag
         for a in range(n):
             flipped = s[:a] + ("1" if s[a] == "0" else "0") + s[a + 1:]

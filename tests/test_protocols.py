@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rydghz import propagate, protocols
 from rydghz.basis import ChainGeometry, enumerate_basis
 from rydghz.controls import constant_pulse, standard_guess_pulse
 from rydghz.detection import DetectionModel, sample_shots
-from rydghz.errors import FitError, ValidationError
+from rydghz.errors import FitError, PropagationError, ValidationError
 from rydghz.hamiltonian import (
     LocalShifts,
     build_terms,
@@ -42,7 +43,7 @@ from rydghz.protocols import (
 )
 from rydghz.units import TWO_PI
 
-from _oracles import random_ghz_like_density_matrix
+from _oracles import dense_hamiltonian, random_ghz_like_density_matrix
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,55 @@ class TestUxCalibration:
             tracemalloc.stop()
         # below one stored vector per step: 150 steps of 2584 amplitudes
         assert peak < 150 * basis.dim * 16
+
+    @pytest.mark.parametrize("n_sites, bond_factors", [
+        (8, None),
+        (12, None),
+        (8, np.linspace(0.8, 1.2, 7)),
+    ], ids=["n8", "n12", "n8-asymmetric"])
+    def test_curve_matches_exact_propagation(self, n_sites, bond_factors):
+        # Asymmetric bond factors act only on adjacent excitations, so that
+        # basis admits one pair; it takes the path evolving both orderings.
+        adjacent = 0 if bond_factors is None else 1
+        basis = enumerate_basis(ChainGeometry(n_sites, max_adjacent_pairs=adjacent))
+        terms = build_terms(basis, bond_factors=bond_factors)
+        assert terms.static_is_reflection_symmetric() == (bond_factors is None)
+        ux = optimal_ux_duration(terms)
+        h = dense_hamiltonian(basis, None, TWO_PI * 5.0, 0.0, bond_factors=bond_factors)
+        w, v = np.linalg.eigh(h)
+        phases = np.exp(-1j * np.outer(ux.times_us, w))
+        i_a, i_abar = basis.ghz_indices()
+        ua, uabar = ((phases * v[i]) @ v.T for i in (i_a, i_abar))
+        parity = np.array([(-1.0) ** (n_sites - basis.pattern_string(i).count("1"))
+                           for i in range(basis.dim)])
+        q = np.einsum("tx,x,tx->t", uabar.conj(), parity, ua)
+        assert np.abs(ux.contrast_curve - q.real).max() <= 1e-12
+        best = int(np.argmax(q.real))
+        assert ux.duration_us == ux.times_us[best]
+        assert ux.quality * np.exp(1j * ux.phase_offset) == pytest.approx(q[best], abs=1e-12)
+
+    def test_calibration_builds_one_basis(self, monkeypatch):
+        # A reflection-symmetric chain evolves |A> alone, and one Lanczos
+        # basis reaches the whole 150 ns grid.
+        calls = []
+        matvec = protocols._ConstantDrive._matvec
+
+        def counted(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(protocols._ConstantDrive, "_matvec", counted)
+        optimal_ux_duration(build_terms(enumerate_basis(ChainGeometry(12))))
+        assert 0 < len(calls) <= 2 * propagate.KRYLOV_MAX_DIM
+
+    def test_krylov_settings_read_at_call_time(self, monkeypatch):
+        basis = enumerate_basis(ChainGeometry(16))
+        terms = build_terms(basis)
+        monkeypatch.setattr(propagate, "KRYLOV_MAX_DIM", 2)
+        with pytest.raises(PropagationError):
+            apply_ux(ghz_state(basis), terms, 0.07)
+        with pytest.raises(PropagationError):
+            optimal_ux_duration(terms)
 
     def test_zero_duration_identity(self, chain4):
         basis, terms = chain4
@@ -621,6 +671,9 @@ class TestDimerModel:
     def test_validation(self):
         with pytest.raises(ValidationError):
             dimer_model_contrast(0)
+        for dt in (0.0, float("nan"), -0.001):
+            with pytest.raises(ValidationError):
+                dimer_model_contrast(2, dt=dt)
 
 
 @pytest.fixture(scope="module")
