@@ -14,13 +14,22 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .basis import ChainGeometry, SymmetrizedBasis, enumerate_basis
+from . import propagate
+from .basis import ChainGeometry, enumerate_basis
 from .detection import sample_shots
 from .errors import FitError, ValidationError
-from .hamiltonian import drive_coupling, staggered_field_generator
-from .propagate import DEFAULT_DT_US, StateVector, evolve, step_grid
+from .hamiltonian import LocalShifts, drive_coupling, staggered_field_generator
+from .propagate import (
+    DEFAULT_DT_US,
+    SampledEvolution,
+    StateVector,
+    evolve,
+    ground_state,
+    step_grid,
+)
 from .units import TWO_PI, mhz_to_angular
 
+# Largest space whose readout a density-matrix scan exponentiates densely.
 _DENSE_UNITARY_CUTOFF = 1200
 # Periodogram grid points per inverse time span in dominant_frequency.
 PERIODOGRAM_OVERSAMPLE = 32
@@ -74,16 +83,10 @@ class GhzDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _as_full_state(state):
-    if isinstance(state.space, SymmetrizedBasis):
-        return state.in_full_basis()
-    return state
-
-
 def exact_ghz_decomposition(state, basis=None):
     """Decompose a state vector or density matrix over the two orderings."""
     if isinstance(state, StateVector):
-        psi = _as_full_state(state)
+        psi = state.in_full_basis()
         basis = psi.space
         i_a, i_abar = basis.ghz_indices()
         a = psi.amplitudes[i_a]
@@ -116,7 +119,7 @@ def bounded_ghz_decomposition(population_a, population_abar, bound, phase=0.0):
 
 def parity_expectation(psi):
     """<P> with P = prod_i sigma_z, eigenvalue (-1)^(N-k) per configuration."""
-    psi = _as_full_state(psi)
+    psi = psi.in_full_basis()
     return float(psi.space.parity @ psi.populations())
 
 
@@ -127,61 +130,64 @@ def parity_expectation(psi):
 class _ConstantDrive:
     """Propagator of the time-independent H = omega * coupling + diag(diagonal).
 
-    step moves every column of a block by one Krylov step of either sign,
-    each column's first convergence check carried over as in
-    SampledEvolution.run.  rotate applies exp(-i tau H): one dense expm,
-    kept for reuse, up to _DENSE_UNITARY_CUTOFF states, else round(tau/dt)
-    equal steps.  overlap_curve reads a whole time grid by Krylov dense
-    output.  Krylov settings are read from the propagate module at call
-    time, as SampledEvolution.run reads them.
+    Every rotation is one Krylov dense-output walk (see _walk): rotate
+    carries each column of a block alone through the stop times h*k of
+    step_grid(tau, dt), and overlap_curve reads a whole time grid.  Krylov
+    settings are read from the propagate module at call time, as
+    SampledEvolution.run reads them.
     """
 
     def __init__(self, coupling, diagonal, omega_rad):
         self.coupling = coupling
         self.diagonal = diagonal
         self.omega_rad = omega_rad
-        self._start_checks = []
-        self._unitary = (None, None)
 
     @classmethod
     def resonant(cls, space, terms, omega_mhz, coupling=None):
         """Resonant drive of `terms` on `space` (a basis or one of its sectors)."""
-        from .propagate import SampledEvolution
-
         operators = SampledEvolution(space, terms, coupling=coupling)
         return cls(operators.coupling, operators.static_diag, mhz_to_angular(omega_mhz))
 
     def _matvec(self, x):
         return self.omega_rad * (self.coupling @ x) + self.diagonal * x
 
-    def step(self, block, h):
-        from . import propagate
+    def _walk(self, states, times, visit=None):
+        """Carry `states` through the ascending `times` (measured from 0).
 
+        Each Lanczos basis serves every time it reaches for all states
+        (propagate.krylov_dense_output, Park & Light, J. Chem. Phys. 85,
+        5870 (1986)), and the next one starts from the states at the last
+        of them.  visit(done, parts), if given, sees each basis: parts
+        holds (basis, coeffs) per state, with coefficient rows for
+        times[done:done + len(coeffs)].  Returns the states at times[-1].
+        A gap between neighbouring times that no basis of KRYLOV_MAX_DIM
+        vectors reaches raises PropagationError.
+        """
         tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
-        checks = self._start_checks
-        if len(checks) != block.shape[1]:
-            checks[:] = [3] * block.shape[1]
-        out = np.empty(block.shape, dtype=complex, order="F")
-        for k in range(block.shape[1]):
-            out[:, k], m = propagate.krylov_expm_apply(
-                self._matvec, block[:, k], h, tol=tol, max_dim=max_dim, start_check=checks[k],
-            )
-            checks[k] = max(3, m - 1)
-        return out
+        done, now = 0, 0.0
+        while done < times.size:
+            parts = [propagate.krylov_dense_output(self._matvec, s, times[done:] - now,
+                                                   tol=tol, max_dim=max_dim) for s in states]
+            n = min(coeffs.shape[0] for _, coeffs in parts)
+            if visit is not None:
+                visit(done, [(basis, coeffs[:n]) for basis, coeffs in parts])
+            states = [coeffs[n - 1] @ basis for basis, coeffs in parts]
+            parts = None  # one basis per state alive at a time
+            done += n
+            now = times[done - 1]
+        return states
 
     def rotate(self, block, tau, dt):
+        """exp(-i tau H) applied to each column, walked alone through the
+        stop times of step_grid(tau, dt)."""
         if tau == 0.0:
             return block.astype(complex, copy=True)
-        if self.diagonal.size <= _DENSE_UNITARY_CUTOFF:
-            if self._unitary[0] != tau:
-                h = (self.omega_rad * self.coupling).toarray()
-                h += np.diag(self.diagonal)
-                self._unitary = (tau, expm(-1j * h * tau))
-            return self._unitary[1] @ block
         n_steps, h = step_grid(tau, dt)
-        for _ in range(n_steps):
-            block = self.step(block, h)
-        return block
+        stops = h * np.arange(1, n_steps + 1)
+        out = np.empty(block.shape, dtype=complex)
+        for k in range(block.shape[1]):
+            out[:, k] = self._walk([block[:, k]], stops)[0]
+        return out
 
     def overlap_curve(self, ket, bra, weights, times, mirror=None):
         """<U(t) bra| diag(weights) |U(t) ket> at each of `times`, U(t) = exp(-i t H).
@@ -189,49 +195,32 @@ class _ConstantDrive:
         With `mirror`, the index array of a permutation R that commutes with
         H and the weights, bra is taken as R ket and only ket is evolved:
         U(t) R ket = R U(t) ket.  The times, of any sign and order, are
-        visited in ascending order; each Lanczos basis serves every time it
-        reaches (see propagate.krylov_dense_output) and the next basis starts
-        from the state at the last of them.  A gap between neighbouring
-        times that no basis of KRYLOV_MAX_DIM vectors reaches raises
-        PropagationError.
+        walked in ascending order.
         """
         order = np.argsort(times, kind="stable")
-        ahead = times[order]
-        states = [ket] if mirror is not None else [ket, bra]
         values = np.empty(times.size, dtype=complex)
-        done, now = 0, 0.0
-        while done < times.size:
-            chunk, states = self._overlap_segment(states, ahead[done:] - now, weights, mirror)
-            values[order[done:done + chunk.size]] = chunk
-            done += chunk.size
-            now = ahead[done - 1]
+
+        def visit(done, parts):
+            (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
+            gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
+            # Eight bra vectors at a time: no full-size copy of a basis.
+            for lo in range(0, gram.shape[0], 8):
+                rows = ket_basis[lo:lo + 8, mirror] if mirror is not None else bra_basis[lo:lo + 8]
+                gram[lo:lo + 8] = (rows.conj() * weights) @ ket_basis.T
+            values[order[done:done + len(ket_coeffs)]] = np.einsum(
+                "tm,mn,tn->t", bra_coeffs.conj(), gram, ket_coeffs)
+
+        self._walk([ket] if mirror is not None else [ket, bra], times[order], visit)
         return values
-
-    def _overlap_segment(self, states, times, weights, mirror):
-        """Overlaps at the leading `times` one Lanczos basis per state reaches,
-        and the states at the last of those times."""
-        from . import propagate
-
-        tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
-        parts = [propagate.krylov_dense_output(self._matvec, s, times, tol=tol,
-                                               max_dim=max_dim) for s in states]
-        n = min(coeffs.shape[0] for _, coeffs in parts)
-        (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
-        gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
-        # Eight bra vectors at a time: no full-size copy of a basis.
-        for lo in range(0, gram.shape[0], 8):
-            rows = ket_basis[lo:lo + 8, mirror] if mirror is not None else bra_basis[lo:lo + 8]
-            gram[lo:lo + 8] = (rows.conj() * weights) @ ket_basis.T
-        chunk = np.einsum("tm,mn,tn->t", bra_coeffs[:n].conj(), gram, ket_coeffs[:n])
-        return chunk, [coeffs[n - 1] @ basis for basis, coeffs in parts]
 
 
 def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
     """Resonant constant drive under the full interacting Hamiltonian.
 
-    coupling replaces the all-site drive template, as in `evolve`.  Spaces
-    up to _DENSE_UNITARY_CUTOFF states are rotated by one dense
-    exponential; larger ones in Krylov sub-steps of about dt.
+    coupling replaces the all-site drive template, as in `evolve`.  The
+    state is walked by Krylov dense output through the stop times h*k of
+    step_grid(duration_us, dt); one Lanczos basis serves every stop it
+    reaches, so dt bounds the stop spacing, not the number of bases.
     """
     drive = _ConstantDrive.resonant(psi.space, terms, omega_mhz, coupling)
     rotated = drive.rotate(psi.amplitudes[:, None], duration_us, dt)
@@ -520,8 +509,9 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     X c(T).  When the state is reflection-even and the readout's static
     diagonal is reflection symmetric, U psi_{-M} = R U psi_M, so only the
     M >= 0 components are rotated (N/2+1 columns of one block).  Callable
-    readouts get no such shortcut and must be linear maps.  dt is the
-    readout's Krylov sub-step above _DENSE_UNITARY_CUTOFF states.
+    readouts get no such shortcut and must be linear maps.  dt spaces the
+    readout's Krylov stop times (see apply_ux).  Density-matrix scans, up
+    to _DENSE_UNITARY_CUTOFF states, take U from one dense exponential.
     """
     if mode not in ("exact", "shots-raw", "shots-inferred"):
         raise ValidationError(f"unknown scan mode {mode!r}")
@@ -537,7 +527,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
         if mode != "exact":
             raise ValidationError("sampled scans need a state vector")
     else:
-        state = _as_full_state(state)
+        state = state.in_full_basis()
         basis = state.space
     n = basis.n_sites
     if n % 2:
@@ -550,7 +540,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
 
     if callable(readout):
         def rotate(block):
-            images = [_as_full_state(readout(StateVector(basis, col))) for col in block.T]
+            images = [readout(StateVector(basis, col)).in_full_basis() for col in block.T]
             return images[0].space, np.column_stack([psi.amplitudes for psi in images])
     else:
         if readout is None:
@@ -566,9 +556,13 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
 
     if is_rho:
         # P rotated once: E(T) = Tr(D_T rho D_T^dag U^dag P U)
-        space, u = rotate(np.eye(basis.dim, dtype=complex))
-        if space is not basis:
-            raise ValidationError("density-matrix scans need a basis-preserving readout")
+        if callable(readout):
+            space, u = rotate(np.eye(basis.dim, dtype=complex))
+            if space is not basis:
+                raise ValidationError("density-matrix scans need a basis-preserving readout")
+        else:
+            h = (drive.omega_rad * drive.coupling).toarray() + np.diag(drive.diagonal)
+            u = expm(-1j * h * duration)
         p_rot = u.conj().T @ (basis.parity[:, None] * u)
         parity_values = np.empty(times_us.size)
         for j, t in enumerate(times_us):
@@ -585,6 +579,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
             gram = x.conj().T @ (space.parity[:, None] * x)
             parity_values = np.einsum("tm,mk,tk->t", phases.conj(), gram, phases).real
         else:
+            # Imported at call time: callers may rebind detection.infer_true_distribution.
             from .detection import DetectionModel
 
             detection = detection or DetectionModel()
@@ -672,7 +667,7 @@ class CorrelationResult:
 def g2_correlations(source):
     """Connected density correlations of a state vector or a shot set."""
     if isinstance(source, StateVector):
-        psi = _as_full_state(source)
+        psi = source.in_full_basis()
         bits = psi.space.bits_matrix().astype(float)
         probs = psi.populations()
         mean = probs @ bits
@@ -783,7 +778,7 @@ def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0
 
 def edge_pair_density_matrix(psi):
     """Reduced density matrix of sites (1, N), basis order 00, 01, 10, 11."""
-    psi = _as_full_state(psi)
+    psi = psi.in_full_basis()
     basis = psi.space
     n = basis.n_sites
     if n < 3:
@@ -847,28 +842,23 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     D C(0) D^dag with D = exp(-i phi (n_1 + n_N)), which commutes with the
     static diagonal, so U(phi) = D U(0) D^dag and, the edge parity being
     diagonal too, each fringe point is the parity of U(0) D^dag psi (all
-    phases in one block).  dt also sub-steps U above the dense cutoff.
+    phases in one block).  dt also spaces U's Krylov stop times, as in
+    apply_ux: each of the 1 + len(phases) columns is walked alone.
     """
     basis = terms.basis
     n = basis.n_sites
     if n < 4:
         raise ValidationError("edge distribution needs at least four sites")
-    from .propagate import ground_state
-
     if initial_state is not None:
-        psi = _as_full_state(initial_state)
+        psi = initial_state.in_full_basis()
         if pulse_forward is not None:
             raise ValidationError("give either a forward pulse or an initial state")
     else:
         if preparation_shifts is None:
-            from .hamiltonian import LocalShifts
-
             preparation_shifts = LocalShifts.preparation_default(n)
         psi = evolve(ground_state(basis), pulse_forward, terms,
                      shifts=preparation_shifts, dt=dt)
     if pulse_reverse is not None:
-        from .hamiltonian import LocalShifts
-
         isolation = LocalShifts.edge_isolation(n, edge_shift_mhz)
         psi = evolve(psi, pulse_reverse, terms, shifts=isolation, dt=dt)
 

@@ -44,15 +44,20 @@ def brute_force_sector_dims(n_sites, max_adjacent_pairs=0):
 
 
 def dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad, v_mhz=24.0,
-                      interaction_range=3, bond_factors=None):
+                      interaction_range=3, bond_factors=None, drive_sites=None,
+                      drive_phase=0.0):
     """Dense H built independently from the configuration bitstrings.
 
     bond_factors, one per nearest-neighbour bond, scale that bond's
-    interaction.
+    interaction.  The drive acts on drive_sites (1-based, all by default)
+    at laser phase drive_phase: (omega/2) e^{-i phase} |1><0| per site plus
+    its conjugate.
     """
     n = basis.n_sites
     dim = basis.dim
-    h = np.zeros((dim, dim))
+    driven = range(n) if drive_sites is None else [s - 1 for s in drive_sites]
+    up = np.exp(-1j * drive_phase) if drive_phase else 1.0
+    h = np.zeros((dim, dim), dtype=complex if drive_phase else float)
     patterns = [basis.pattern_string(i) for i in range(dim)]
     index = {p: i for i, p in enumerate(patterns)}
     shifts = np.zeros(n) if shifts_mhz is None else np.asarray(shifts_mhz, float)
@@ -66,12 +71,21 @@ def dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad, v_mhz=24.0,
                     factor = 1.0 if bond_factors is None or b_ - a > 1 else bond_factors[a]
                     diag += factor * TWO_PI * v_mhz / (b_ - a) ** 6 * bits[a] * bits[b_]
         h[i, i] = diag
-        for a in range(n):
+        for a in driven:
             flipped = s[:a] + ("1" if s[a] == "0" else "0") + s[a + 1:]
             j = index.get(flipped)
             if j is not None:
-                h[i, j] += omega_rad / 2.0
+                h[i, j] += omega_rad / 2.0 * (up if s[a] == "1" else np.conj(up))
     return h
+
+
+def constant_drive_propagator(basis, omega_rad, duration, drive_sites=None,
+                              drive_phase=0.0):
+    """exp(-i duration H) of a resonant constant drive, by one dense
+    matrix exponential of dense_hamiltonian."""
+    h = dense_hamiltonian(basis, None, omega_rad, 0.0, drive_sites=drive_sites,
+                          drive_phase=drive_phase)
+    return scipy.linalg.expm(-1j * duration * h)
 
 
 def dense_evolve(basis, pulse, shifts_mhz, psi0, dt, v_mhz=24.0,

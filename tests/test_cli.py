@@ -289,6 +289,11 @@ class TestBellDistribute:
             reports.append((out / "bell_report.txt").read_text())
         assert reports[0] != reports[1]
 
+    def test_coarse_dt_refused(self, outroot):
+        # dt = 0.5 leaves no whole step in the 50 ns conversion pulse.
+        assert run("--out-dir", outroot / "bell-coarse", "bell-distribute",
+                   "--n-sites", 8, "--dt", 0.5) == 2
+
 
 class TestDecayScan:
     def test_artifacts_and_fit(self, outroot):

@@ -43,7 +43,11 @@ from rydghz.protocols import (
 )
 from rydghz.units import TWO_PI
 
-from _oracles import dense_hamiltonian, random_ghz_like_density_matrix
+from _oracles import (
+    constant_drive_propagator,
+    dense_hamiltonian,
+    random_ghz_like_density_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +602,96 @@ class TestHarmonicScan:
             parity_oscillation_scan(ghz_state(basis), terms, 3.7, mode="telepathy")
 
 
+@pytest.fixture(scope="module")
+def chain14():
+    basis = enumerate_basis(ChainGeometry(14))
+    return basis, build_terms(basis)
+
+
+@pytest.fixture(scope="module")
+def chain16():
+    basis = enumerate_basis(ChainGeometry(16))
+    return basis, build_terms(basis)
+
+
+class TestConstantDriveWalk:
+    """Readout and Bell rotations: one Krylov dense-output walk at every size."""
+
+    DURATION_US = 0.07
+
+    def test_coarse_dt_refused(self, chain8):
+        # dt = 0.5 leaves no whole step in the 50-70 ns rotations.
+        basis, terms = chain8
+        psi = ghz_state(basis)
+        with pytest.raises(ValidationError, match="does not divide"):
+            apply_ux(psi, terms, 0.05, dt=0.5)
+        with pytest.raises(ValidationError, match="does not divide"):
+            bell_distribution_protocol(None, None, terms, initial_state=psi, dt=0.5)
+        with pytest.raises(ValidationError, match="does not divide"):
+            parity_oscillation_scan(psi, terms, 3.7, readout=self.DURATION_US, dt=0.5)
+
+    def test_readout_matches_dense_exponential_n14(self, chain14):
+        basis, terms = chain14
+        assert basis.dim == 987
+        u = constant_drive_propagator(basis, TWO_PI * 5.0, self.DURATION_US)
+        states = (_prepared_state(basis, terms).in_full_basis(), ghz_state(basis, phi=0.6),
+                  _even_random_state(basis, seed=14))
+        for psi in states:
+            rotated = apply_ux(psi, terms, self.DURATION_US)
+            assert np.abs(rotated.amplitudes - u @ psi.amplitudes).max() <= 1e-10
+            scan = parity_oscillation_scan(psi, terms, 3.7, readout=self.DURATION_US,
+                                           n_times=30)
+            expected = _per_time_parities(
+                psi, 3.7, scan.times_us, lambda s: StateVector(s.space, u @ s.amplitudes))
+            assert np.abs(scan.parity - expected).max() <= 1e-10
+
+    def test_bell_fringe_matches_dense_exponential_n14(self, chain14):
+        basis, terms = chain14
+        n = basis.n_sites
+        rng = np.random.default_rng(14)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        psi = StateVector(basis, amps / np.linalg.norm(amps))
+        phases = np.array([0.4, 1.3, 2.9])
+        out = bell_distribution_protocol(None, None, terms, initial_state=psi, phases=phases)
+        duration = 0.25 / 5.0
+        u0 = constant_drive_propagator(basis, TWO_PI * 5.0, duration, drive_sites=(1, n))
+        converted = out.state_converted.amplitudes
+        assert np.abs(converted - u0 @ psi.amplitudes).max() <= 1e-10
+        bits = basis.bits_matrix()
+        sign = np.where((bits[:, 0] + bits[:, -1]) % 2 == 0, 1.0, -1.0)
+        for phi, value in zip(phases, out.edge_parity):
+            u = constant_drive_propagator(basis, TWO_PI * 5.0, duration, drive_sites=(1, n),
+                                          drive_phase=phi)
+            assert abs(value - sign @ (np.abs(u @ converted) ** 2)) <= 1e-10
+
+    def test_walk_builds_few_bases(self, chain16, monkeypatch):
+        # 70 stops of 1 ns: at most two Lanczos bases per column.
+        basis, terms = chain16
+        calls = []
+        matvec = protocols._ConstantDrive._matvec
+
+        def counted(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(protocols._ConstantDrive, "_matvec", counted)
+        apply_ux(ghz_state(basis, phi=0.6), terms, self.DURATION_US, dt=0.001)
+        assert 0 < len(calls) <= 2 * propagate.KRYLOV_MAX_DIM
+        calls.clear()
+        phases = np.array([0.4, 1.3, 2.9])
+        bell_distribution_protocol(None, None, terms, initial_state=ghz_state(basis),
+                                   phases=phases)
+        assert 0 < len(calls) <= (1 + phases.size) * 2 * propagate.KRYLOV_MAX_DIM
+
+    def test_stop_spacing_does_not_change_the_result(self, chain16):
+        basis, terms = chain16
+        for psi in (_prepared_state(basis, terms).in_full_basis(),
+                    _even_random_state(basis, seed=16)):
+            fine = apply_ux(psi, terms, self.DURATION_US, dt=0.001).amplitudes
+            coarse = apply_ux(psi, terms, self.DURATION_US, dt=0.035).amplitudes
+            assert np.abs(fine - coarse).max() <= 1e-12
+
+
 class TestCorrelations:
     def test_ghz_pattern(self, chain8):
         basis, _ = chain8
@@ -719,7 +813,7 @@ class TestBellDistribution:
         assert fit.residual_rms < 0.05
 
     def test_fringe_matches_per_phase_rotation(self, distributed, chain8):
-        # dense path: each fringe point against its own phase-phi propagator
+        # each fringe point against its own dense phase-phi propagator
         basis, terms = chain8
         n = basis.n_sites
         omega = TWO_PI * 5.0
@@ -735,7 +829,7 @@ class TestBellDistribution:
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_krylov_fringe_matches_rephased_drive(self):
-        basis = enumerate_basis(ChainGeometry(16))  # dim 2584: Krylov path
+        basis = enumerate_basis(ChainGeometry(16))  # dim 2584
         terms = build_terms(basis)
         n = basis.n_sites
         rng = np.random.default_rng(3)
@@ -753,10 +847,12 @@ class TestBellDistribution:
             probed = evolve(out.state_converted, pulse, terms, coupling=coupling)
             assert value == pytest.approx(sign @ probed.populations(), abs=1e-10)
 
-    def test_one_dense_propagator_per_protocol(self, chain8, monkeypatch):
-        import rydghz.protocols as protocols
-
-        basis, terms = chain8
+    @pytest.mark.parametrize("n_sites", [8, 12])
+    def test_no_dense_exponential_per_protocol(self, n_sites, monkeypatch):
+        # State-vector readouts and the Bell rotations walk Krylov dense
+        # output; only a density-matrix scan exponentiates H densely.
+        basis = enumerate_basis(ChainGeometry(n_sites))
+        terms = build_terms(basis)
         calls = []
 
         def counting_expm(a):
@@ -764,8 +860,15 @@ class TestBellDistribution:
             return expm(a)
 
         monkeypatch.setattr(protocols, "expm", counting_expm)
-        bell_distribution_protocol(None, None, terms, initial_state=ghz_state(basis))
-        assert len(calls) == 1
+        psi = ghz_state(basis, phi=0.6)
+        apply_ux(psi, terms, 0.07)
+        parity_oscillation_scan(psi, terms, 3.7, readout=0.07, n_times=2 * n_sites + 2)
+        bell_distribution_protocol(None, None, terms, initial_state=psi)
+        assert calls == []
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        parity_oscillation_scan(rho, terms, 3.7, readout=0.07, n_times=2 * n_sites + 2,
+                                basis=basis)
+        assert calls == [(basis.dim, basis.dim)]
 
     def test_bound_below_exact(self, distributed):
         assert distributed.fidelity_bound <= distributed.exact_bell_fidelity + 0.01
