@@ -3,8 +3,12 @@
 Pulses are integrated with piecewise-constant midpoint sampling: the
 controls are sampled once per run, at the center of every dt step, and
 held there for the step.  Each step is applied with a Lanczos (Krylov)
-matrix exponential at a fixed per-step tolerance; the Lanczos basis is
-kept orthogonal by two classical Gram-Schmidt passes per new vector.
+matrix exponential at a fixed per-step tolerance.  The Lanczos basis is
+built by the Hermitian three-term recurrence alone, without
+reorthogonalization: the Krylov approximation of exp(-i t H) v stays
+accurate in finite precision even when the basis loses orthogonality
+(Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998);
+Musco, Musco & Sidford, SODA 2018).
 The same Lanczos loop gives dense output under a constant generator:
 one basis yields exp(-i t H) v at every requested time it reaches, and a
 single step is its one-time case.  Diagonal generators are advanced with
@@ -99,11 +103,14 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
                         start_check=3):
     """exp(-1j*t*H) @ vec at the leading `times` one Lanczos basis reaches.
 
-    Lanczos for Hermitian H given through `matvec`, with full
-    reorthogonalization: each new vector is projected off the whole basis
-    by classical Gram-Schmidt applied twice, and the first pass's last
-    coefficient is the Lanczos alpha.  The basis grows until the last of
-    `times` (any order or sign) meets the a-posteriori estimate
+    Lanczos for Hermitian H given through `matvec`, which must return a
+    new array, by the three-term recurrence
+    w = H v_j - alpha_j v_j - beta_{j-1} v_{j-1}, alpha_j = Re<v_j|w>,
+    beta_j = |w|, with no reorthogonalization: the approximation of
+    exp(-i t H) v stays accurate when the basis loses orthogonality
+    (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38
+    (1998); Musco, Musco & Sidford, SODA 2018).  The basis grows until
+    the last of `times` (any order or sign) meets the a-posteriori estimate
     |t| * beta_m * |u_m(t)| <= `tol` (relative to |vec|), or until
     `max_dim` vectors; convergence is first checked at `start_check`
     vectors.  Returns (basis, coeffs): the m basis vectors as rows and one
@@ -124,12 +131,11 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     tridiag = np.zeros((max_dim, max_dim))
     for j in range(max_dim):
         w = matvec(v[j])
-        basis = v[: j + 1]
-        # <v_i|w> as conj(V @ conj(w)): no conjugate copy of the basis.
-        coeffs = np.conj(basis @ np.conj(w))
-        w = w - coeffs @ basis
-        w -= np.conj(basis @ np.conj(w)) @ basis
-        tridiag[j, j] = coeffs[j].real
+        if j:
+            w -= b * v[j - 1]
+        a = np.vdot(v[j], w).real
+        w -= a * v[j]
+        tridiag[j, j] = a
         b = math.sqrt(np.vdot(w, w).real)
         m = j + 1
         if m >= start_check or b < 1e-14 or m == max_dim:
@@ -184,13 +190,31 @@ def step_grid(tau, dt):
     return n_steps, tau / n_steps
 
 
+def drive_matvec(coupling, omega_rad, diag):
+    """x -> omega * (coupling @ x) + diag * x for a complex coupling.
+
+    The product is scaled and the diagonal added in place, so a complex x
+    costs one sparse product and no conversion of the coupling.
+    """
+
+    def matvec(x):
+        w = coupling @ x
+        w *= omega_rad
+        w += diag * x
+        return w
+
+    return matvec
+
+
 class SampledEvolution:
     """Prepared midpoint-sampled propagator for one space.
 
     Holds the drive template and the control-independent diagonal so that
     repeated pulse evaluations (optimization loops) skip the setup cost.
-    Works on a full Basis or, when every diagonal term is reflection
-    symmetric, on a SymmetrizedBasis.
+    The template is kept as a CSR matrix with complex values (its index
+    arrays shared with the one given), so no product converts it.  Works
+    on a full Basis or, when every diagonal term is reflection symmetric,
+    on a SymmetrizedBasis.
     """
 
     def __init__(self, space, terms, shifts=None, coupling=None):
@@ -201,24 +225,19 @@ class SampledEvolution:
         if isinstance(space, SymmetrizedBasis):
             if space.basis is not terms.basis:
                 raise ValidationError("sector does not belong to the terms' basis")
-            self.coupling = space.reduce_operator(coupling)
+            self.coupling = sparse.csr_matrix(space.reduce_operator(coupling), dtype=complex)
             self.static_diag = space.reduce_diagonal(terms.static_diagonal(shifts))
             self.excitations = space.reduce_diagonal(terms.excitations)
         else:
             if space is not terms.basis:
                 raise ValidationError("state space does not match the terms' basis")
-            self.coupling = coupling
+            self.coupling = sparse.csr_matrix(coupling, dtype=complex)
             self.static_diag = terms.static_diagonal(shifts)
             self.excitations = terms.excitations
 
     def matvec_at(self, omega_rad, delta_rad):
-        coupling = self.coupling
-        diag = self.static_diag - delta_rad * self.excitations
-
-        def matvec(x):
-            return omega_rad * (coupling @ x) + diag * x
-
-        return matvec
+        return drive_matvec(self.coupling, omega_rad,
+                            self.static_diag - delta_rad * self.excitations)
 
     def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, observer=None, observer_stride=1):
         tau = pulse.tau

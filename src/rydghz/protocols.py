@@ -18,11 +18,17 @@ from . import propagate
 from .basis import ChainGeometry, enumerate_basis
 from .detection import sample_shots
 from .errors import FitError, ValidationError
-from .hamiltonian import LocalShifts, drive_coupling, staggered_field_generator
+from .hamiltonian import (
+    LocalShifts,
+    build_hamiltonian,
+    drive_coupling,
+    staggered_field_generator,
+)
 from .propagate import (
     DEFAULT_DT_US,
     SampledEvolution,
     StateVector,
+    drive_matvec,
     evolve,
     ground_state,
     step_grid,
@@ -128,7 +134,7 @@ def parity_expectation(psi):
 
 
 class _ConstantDrive:
-    """Propagator of the time-independent H = omega * coupling + diag(diagonal).
+    """Propagator of a time-independent H, given by its matvec.
 
     Every rotation is one Krylov dense-output walk (see _walk): rotate
     carries each column of a block alone through the stop times h*k of
@@ -137,19 +143,18 @@ class _ConstantDrive:
     SampledEvolution.run reads them.
     """
 
-    def __init__(self, coupling, diagonal, omega_rad):
-        self.coupling = coupling
-        self.diagonal = diagonal
-        self.omega_rad = omega_rad
+    def __init__(self, matvec):
+        self._apply = matvec
 
     @classmethod
     def resonant(cls, space, terms, omega_mhz, coupling=None):
-        """Resonant drive of `terms` on `space` (a basis or one of its sectors)."""
-        operators = SampledEvolution(space, terms, coupling=coupling)
-        return cls(operators.coupling, operators.static_diag, mhz_to_angular(omega_mhz))
+        """Resonant drive of `terms` on `space` (a basis or one of its sectors),
+        with the matvec SampledEvolution uses for its pulses."""
+        engine = SampledEvolution(space, terms, coupling=coupling)
+        return cls(engine.matvec_at(mhz_to_angular(omega_mhz), 0.0))
 
     def _matvec(self, x):
-        return self.omega_rad * (self.coupling @ x) + self.diagonal * x
+        return self._apply(x)
 
     def _walk(self, states, times, visit=None):
         """Carry `states` through the ascending `times` (measured from 0).
@@ -195,22 +200,33 @@ class _ConstantDrive:
         With `mirror`, the index array of a permutation R that commutes with
         H and the weights, bra is taken as R ket and only ket is evolved:
         U(t) R ket = R U(t) ket.  The times, of any sign and order, are
-        walked in ascending order.
+        walked outward from 0: the negative ones in descending order, the
+        others in ascending order.
         """
-        order = np.argsort(times, kind="stable")
         values = np.empty(times.size, dtype=complex)
 
-        def visit(done, parts):
-            (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
-            gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
-            # Eight bra vectors at a time: no full-size copy of a basis.
-            for lo in range(0, gram.shape[0], 8):
-                rows = ket_basis[lo:lo + 8, mirror] if mirror is not None else bra_basis[lo:lo + 8]
-                gram[lo:lo + 8] = (rows.conj() * weights) @ ket_basis.T
-            values[order[done:done + len(ket_coeffs)]] = np.einsum(
-                "tm,mn,tn->t", bra_coeffs.conj(), gram, ket_coeffs)
+        def reader(walked):
+            def visit(done, parts):
+                (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
+                gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
+                # Four bra vectors at a time, conjugated and weighted in
+                # place: no full-size copy of a basis.
+                for lo in range(0, gram.shape[0], 4):
+                    rows = (ket_basis[lo:lo + 4, mirror] if mirror is not None
+                            else bra_basis[lo:lo + 4].copy())
+                    np.conjugate(rows, out=rows)
+                    rows *= weights
+                    gram[lo:lo + 4] = rows @ ket_basis.T
+                values[walked[done:done + len(ket_coeffs)]] = np.einsum(
+                    "tm,mn,tn->t", bra_coeffs.conj(), gram, ket_coeffs)
 
-        self._walk([ket] if mirror is not None else [ket, bra], times[order], visit)
+            return visit
+
+        order = np.argsort(times, kind="stable")
+        negative = times[order] < 0
+        for walked in (order[negative][::-1], order[~negative]):
+            self._walk([ket] if mirror is not None else [ket, bra], times[walked],
+                       reader(walked))
         return values
 
 
@@ -561,7 +577,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
             if space is not basis:
                 raise ValidationError("density-matrix scans need a basis-preserving readout")
         else:
-            h = (drive.omega_rad * drive.coupling).toarray() + np.diag(drive.diagonal)
+            h = build_hamiltonian(terms, None, mhz_to_angular(omega), 0.0).toarray()
             u = expm(-1j * h * duration)
         p_rot = u.conj().T @ (basis.parity[:, None] * u)
         parity_values = np.empty(times_us.size)
@@ -708,14 +724,16 @@ def _dimer_operators(n_dimers, v_rad, v2_rad):
 
     Per-dimer basis is ordered (+, 0, -) where + holds the left atom of
     the pair excited and - the right; the drive is omega times the
-    coupling sum_j Sx_j / sqrt(2), and parity is diag(-1, +1, -1).
+    coupling sum_j Sx_j / sqrt(2), built with complex values for
+    propagate.drive_matvec, and parity is diag(-1, +1, -1).
     """
     from functools import reduce
 
     from scipy import sparse
 
-    sx_half = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / 2.0)
-    coupling = sparse.csr_matrix((3**n_dimers, 3**n_dimers))
+    sx_half = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / 2.0,
+                                dtype=complex)
+    coupling = sparse.csr_matrix((3**n_dimers, 3**n_dimers), dtype=complex)
     for j in range(n_dimers):
         inner = sparse.kron(sx_half, sparse.identity(3 ** (n_dimers - j - 1)))
         coupling = coupling + sparse.kron(sparse.identity(3**j), inner, format="csr")
@@ -743,22 +761,33 @@ def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0
     (E_plus - E_minus)/2 equals Re <U --|P|U ++>, read at `times_us`, in
     any order or sign, by Krylov dense output (see
     _ConstantDrive.overlap_curve); without them the grid is step_grid's
-    h*k up to 0.75/omega us for the requested dt.
+    h*k up to 0.75/omega us for the requested dt.  Given times are walked
+    through stops no farther than dt apart, from 0 out to each of them,
+    and the contrast is reported at the given times only.
     """
     if n_dimers < 1:
         raise ValidationError("need at least one dimer")
     if times_us is None:
         n_steps, h = step_grid(0.15 * 5.0 / omega_mhz, dt)
-        times_us = h * np.arange(1, n_steps + 1)
+        times_us = walked = h * np.arange(1, n_steps + 1)
+        picked = slice(None)
     else:
+        if not dt > 0 or not np.isfinite(dt):
+            raise ValidationError(f"dt must be positive, got {dt}")
         times_us = np.asarray(times_us, dtype=float)
+        marks = np.unique(np.append(times_us, 0.0))
+        stops = [a + (b - a) * np.arange(1, n) / n
+                 for a, b, n in zip(marks[:-1], marks[1:], np.ceil(np.diff(marks) / dt))]
+        walked = np.unique(np.concatenate([times_us, *stops]))
+        picked = np.searchsorted(walked, times_us)
     coupling, diagonal, parity = _dimer_operators(
         n_dimers, mhz_to_angular(v_mhz), mhz_to_angular(v2_mhz)
     )
-    drive = _ConstantDrive(coupling, diagonal, mhz_to_angular(omega_mhz))
+    omega_rad = mhz_to_angular(omega_mhz)
+    drive = _ConstantDrive(drive_matvec(coupling, omega_rad, diagonal))
     plus, minus = np.zeros((2, diagonal.size), dtype=complex)
     plus[0] = minus[-1] = 1.0  # |++...+>, |--...->
-    contrast = drive.overlap_curve(plus, minus, parity, times_us).real
+    contrast = drive.overlap_curve(plus, minus, parity, walked).real[picked]
     best = int(np.argmax(contrast))
     return DimerContrast(
         times_us=times_us,

@@ -19,6 +19,7 @@ from rydghz.propagate import (
     evolve_under_diagonal,
     ghz_state,
     ground_state,
+    krylov_dense_output,
     krylov_expm_apply,
     lowest_spectrum,
 )
@@ -135,6 +136,45 @@ def test_krylov_apply_complex_hermitian_against_expm():
         ref = scipy.linalg.expm(-1j * dt * h) @ v
         assert np.abs(got - ref).max() <= 1e-10
         assert 1 <= m < h.shape[0]
+
+
+@pytest.mark.parametrize("complex_drive", [False, True])
+def test_dense_output_long_recurrence_matches_expm(complex_drive):
+    # N=14 (dim 987): the later time needs about 60 Lanczos vectors, far
+    # enough for the three-term recurrence to lose orthogonality of its
+    # basis, which must not show in the propagated states.
+    import scipy.linalg
+
+    if complex_drive:
+        h = _complex_chain_hamiltonian(14)
+    else:
+        terms = build_terms(enumerate_basis(ChainGeometry(14)))
+        h = mhz_to_angular(5.0) * terms.coupling.toarray() + np.diag(terms.static_diagonal())
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    v /= np.linalg.norm(v)
+    times = (0.1, 0.25)
+    basis, coeffs = krylov_dense_output(lambda x: h @ x, v, times)
+    assert basis.shape[0] >= 50 and coeffs.shape[0] == len(times)
+    for t, row in zip(times, coeffs):
+        ref = scipy.linalg.expm(-1j * t * h) @ v
+        assert np.abs(row @ basis - ref).max() <= 1e-12
+
+
+def test_engine_coupling_is_complex_and_shares_indices():
+    # The drive template is converted to complex values once, when the
+    # engine is built, and keeps the terms' index arrays.
+    basis = enumerate_basis(ChainGeometry(8))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms, LocalShifts.preparation_default(8))
+    assert engine.coupling.dtype == complex
+    assert np.shares_memory(engine.coupling.indices, terms.coupling.indices)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    omega, delta = mhz_to_angular(4.0), mhz_to_angular(-2.5)
+    expected = (omega * (terms.coupling @ x)
+                + (engine.static_diag - delta * engine.excitations) * x)
+    assert np.abs(engine.matvec_at(omega, delta)(x) - expected).max() <= 1e-12
 
 
 def test_krylov_apply_backward_step():

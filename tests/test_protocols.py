@@ -17,6 +17,7 @@ from rydghz.hamiltonian import (
 )
 from rydghz.optimize import PreparationSimulator, RampSpec, ramp_pulse
 from rydghz.propagate import (
+    SampledEvolution,
     StateVector,
     basis_state,
     evolve,
@@ -683,6 +684,30 @@ class TestConstantDriveWalk:
                                    phases=phases)
         assert 0 < len(calls) <= (1 + phases.size) * 2 * propagate.KRYLOV_MAX_DIM
 
+    def test_resonant_drive_matvec_is_the_engines(self, chain16, monkeypatch):
+        # Readout and Bell rotations take their matvec from
+        # SampledEvolution.matvec_at, where a caller can count it.
+        basis, terms = chain16
+        calls = []
+        matvec_at = SampledEvolution.matvec_at
+
+        def counted(self, omega_rad, delta_rad):
+            inner = matvec_at(self, omega_rad, delta_rad)
+
+            def matvec(x):
+                calls.append(1)
+                return inner(x)
+
+            return matvec
+
+        monkeypatch.setattr(SampledEvolution, "matvec_at", counted)
+        apply_ux(ghz_state(basis), terms, self.DURATION_US)
+        assert 0 < len(calls) <= 2 * propagate.KRYLOV_MAX_DIM
+        calls.clear()
+        bell_distribution_protocol(None, None, terms, initial_state=ghz_state(basis),
+                                   phases=np.array([0.4, 1.3, 2.9]))
+        assert calls
+
     def test_stop_spacing_does_not_change_the_result(self, chain16):
         basis, terms = chain16
         for psi in (_prepared_state(basis, terms).in_full_basis(),
@@ -756,6 +781,19 @@ class TestDimerModel:
         ordered = dimer_model_contrast(7, times_us=times, dt=0.005)
         shuffled = dimer_model_contrast(7, times_us=times[order], dt=0.005)
         assert np.max(np.abs(shuffled.contrast - ordered.contrast[order])) <= 1e-10
+
+    def test_sparse_grid_walks_through_stops(self):
+        # No single Lanczos basis reaches 0.15 us at N=7 dimers (dim 2187):
+        # the walk passes stops no farther than dt apart, on either side of 0.
+        full = dimer_model_contrast(7)
+        k = int(np.argmin(np.abs(full.times_us - 0.15)))
+        assert abs(full.times_us[k] - 0.15) <= 1e-12
+        sparse_grid = dimer_model_contrast(7, times_us=[0.15, -0.15])
+        np.testing.assert_array_equal(sparse_grid.times_us, [0.15, -0.15])
+        assert np.abs(sparse_grid.contrast - full.contrast[k]).max() <= 1e-10
+        for dt in (0.0, float("nan"), -0.001):
+            with pytest.raises(ValidationError):
+                dimer_model_contrast(2, times_us=[0.1], dt=dt)
 
     def test_v2_strictly_reduces_contrast(self):
         free = dimer_model_contrast(3, v_mhz=24.0, v2_mhz=0.0)
