@@ -116,12 +116,9 @@ class RunContext:
 
 
 def _report_text(name, pairs):
-    lines = [f"# rydghz-{name}-report"]
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+    from .fileio import report_text
+
+    return report_text(f"rydghz-{name}-report", pairs)
 
 
 def _chain(n_sites, v_nn_mhz):

@@ -122,8 +122,8 @@ class Pulse:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValidationError(f"pulse duration must be nonnegative, got {self.tau}")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValidationError(f"pulse duration must be finite and nonnegative, got {self.tau}")
         if self.omega_bounds[0] < 0 or self.omega_bounds[0] >= self.omega_bounds[1]:
             raise ValidationError(f"bad omega bounds {self.omega_bounds}")
         if self.delta_bounds[0] >= self.delta_bounds[1]:

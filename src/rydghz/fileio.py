@@ -1,4 +1,4 @@
-"""Atomic file output, digests, and the shared comma-separated table format.
+"""Atomic file output, digests, the shared table format and key-value reports.
 
 Every file the package writes goes through atomic_write_text so a crashed
 run never leaves a truncated artifact. Tables keep their cells as the
@@ -167,6 +167,16 @@ class TableData:
     @property
     def n_rows(self):
         return len(self.rows)
+
+
+def report_text(name, pairs):
+    """A # name line, then one key: value line per pair (floats as repr)."""
+    lines = [f"# {name}"]
+    for key, value in pairs:
+        if isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 def write_table(path, table):

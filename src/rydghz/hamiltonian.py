@@ -26,6 +26,8 @@ class LocalShifts:
 
     def __post_init__(self):
         object.__setattr__(self, "values_mhz", tuple(float(v) for v in self.values_mhz))
+        if not np.all(np.isfinite(self.values_mhz)):
+            raise ValidationError(f"local shifts must be finite, got {self.values_mhz}")
 
     @property
     def n_sites(self):
@@ -89,8 +91,8 @@ class HamiltonianTerms:
     """
 
     def __init__(self, basis, v_mhz=V_NN_DEFAULT_MHZ, bond_factors=None):
-        if v_mhz < 0:
-            raise ValidationError(f"blockade interaction must be nonnegative, got {v_mhz}")
+        if not (np.isfinite(v_mhz) and v_mhz >= 0):
+            raise ValidationError(f"blockade interaction must be finite and nonnegative, got {v_mhz}")
         n = basis.n_sites
         if bond_factors is not None:
             bond_factors = np.asarray(bond_factors, dtype=float)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
+from .fileio import TableData
 from .hamiltonian import HamiltonianTerms, LocalShifts
 from .propagate import DEFAULT_DT_US, SampledEvolution, StateVector, ground_state, step_grid
 from .protocols import exact_ghz_decomposition
@@ -133,10 +134,9 @@ class CoherenceDecay:
     n_realizations: int
 
     def to_table(self):
-        lines = ["# rydghz-coherence-decay", "# columns: time_us,coherence,stderr"]
-        for t, m, s in zip(self.times_us, self.modulus, self.stderr):
-            lines.append(f"{float(t)!r},{float(m)!r},{float(s)!r}")
-        return "\n".join(lines) + "\n"
+        return TableData.from_columns("rydghz-coherence-decay", [
+            ("time_us", self.times_us), ("coherence", self.modulus), ("stderr", self.stderr),
+        ]).to_text()
 
 
 def _decay_fit(times, modulus, power, curve):

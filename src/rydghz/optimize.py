@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .basis import SymmetrizedBasis, symmetry_sector
+from .basis import symmetry_sector
 from .controls import (
     DELTA_BOUNDS_DEFAULT_MHZ,
     standard_guess_pulse,
@@ -27,6 +27,7 @@ from .errors import (
     ScheduleSingularityError,
     ValidationError,
 )
+from .fileio import TableData, report_text
 from .propagate import (
     DEFAULT_DT_US,
     SampledEvolution,
@@ -109,10 +110,10 @@ class DcrabConfig:
             raise ValidationError("super_iterations must be nonnegative")
         if self.max_evaluations < 1:
             raise ValidationError("max_evaluations must be positive")
-        if self.simplex_scale_mhz <= 0:
-            raise ValidationError("simplex_scale_mhz must be positive")
-        if self.fom_tolerance <= 0:
-            raise ValidationError("fom_tolerance must be positive")
+        if not (np.isfinite(self.simplex_scale_mhz) and self.simplex_scale_mhz > 0):
+            raise ValidationError("simplex_scale_mhz must be finite and positive")
+        if not (np.isfinite(self.fom_tolerance) and self.fom_tolerance > 0):
+            raise ValidationError("fom_tolerance must be finite and positive")
 
 
 class _BudgetExhausted(Exception):
@@ -216,38 +217,38 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
     )
 
 
-def _even_sector(terms, shifts):
-    """Even reflection sector to run in, or None for the full basis.
+def _preparation_engine(terms, shifts):
+    """SampledEvolution for an all-ground preparation under terms and shifts.
 
-    The sector is used exactly when the static diagonal is reflection
-    symmetric, since only then does the dynamics stay inside it.
+    It runs in the even reflection sector exactly when the static diagonal
+    is reflection symmetric, since only then does the dynamics stay inside
+    it; otherwise it runs on the full basis.
     """
+    space = terms.basis
     if terms.static_is_reflection_symmetric(shifts):
-        return symmetry_sector(terms.basis, "even")
-    return None
+        space = symmetry_sector(space, "even")
+    return SampledEvolution(space, terms, shifts)
 
 
 class PreparationSimulator:
     """Reusable all-ground preparation propagator for trial pulses.
 
-    The drive template and the static diagonal are prepared once so
-    repeated figure-of-merit evaluations only pay for the stepping.
-    When the full static diagonal is reflection symmetric, the dynamics
-    run in the even reflection sector, which holds both the all-ground
-    start state and the staggered superposition target.
+    `engine` holds H(omega, delta) once, so repeated figure-of-merit
+    evaluations only pay for the stepping and spectra along a pulse read
+    the same operator.  It runs in the even reflection sector, which holds
+    the all-ground start and the staggered target, when the full static
+    diagonal is reflection symmetric, and on the full basis otherwise.
     """
 
     def __init__(self, terms, shifts=None, dt=DEFAULT_DT_US):
         if dt <= 0 or not np.isfinite(dt):
             raise ValidationError(f"dt must be positive, got {dt}")
-        sector = _even_sector(terms, shifts)
         self.terms = terms
-        self.shifts = shifts
         self.dt = float(dt)
-        self.space = terms.basis if sector is None else sector
-        self.engine = SampledEvolution(self.space, terms, shifts)
+        self.engine = _preparation_engine(terms, shifts)
+        self.space = self.engine.space
         start = ground_state(terms.basis).amplitudes
-        self.initial = start if sector is None else sector.to_sector(start)
+        self.initial = start if self.space is terms.basis else self.space.to_sector(start)
 
     @property
     def n_sites(self):
@@ -297,30 +298,29 @@ class DcrabResult:
         return len(self.trace)
 
     def trace_table(self):
-        lines = ["# rydghz-fom-trace", "# columns: evaluation,super_iteration,fom,best"]
-        for e in self.trace:
-            lines.append(f"{e.index},{e.super_iteration},{e.value!r},{e.best!r}")
-        return "\n".join(lines) + "\n"
+        return TableData.from_columns("rydghz-fom-trace", [
+            ("evaluation", [e.index for e in self.trace]),
+            ("super_iteration", [e.super_iteration for e in self.trace]),
+            ("fom", [e.value for e in self.trace]),
+            ("best", [e.best for e in self.trace]),
+        ]).to_text()
 
     def report(self):
         digest = hashlib.sha256(self.pulse.to_json().encode()).hexdigest()
-        lines = [
-            "# rydghz-optimization-report",
-            f"seed: {self.seed}",
-            f"fom_evaluations: {self.n_evaluations}",
-            f"initial_fom: {self.initial_fom!r}",
+        pairs = [
+            ("seed", self.seed),
+            ("fom_evaluations", self.n_evaluations),
+            ("initial_fom", self.initial_fom),
         ]
         for j, (value, kept) in enumerate(zip(self.super_best, self.accepted), start=1):
             tag = "term accepted" if kept else "kept incumbent"
-            lines.append(f"super_iteration {j}: best_fom {value!r} ({tag})")
-        lines.extend(
-            [
-                f"final_fom: {self.best_fom!r}",
-                f"final_pulse_terms_per_control: {self.pulse.crab_omega.n_terms}",
-                f"final_pulse_sha256: {digest}",
-            ]
-        )
-        return "\n".join(lines) + "\n"
+            pairs.append((f"super_iteration {j}", f"best_fom {value!r} ({tag})"))
+        pairs += [
+            ("final_fom", self.best_fom),
+            ("final_pulse_terms_per_control", self.pulse.crab_omega.n_terms),
+            ("final_pulse_sha256", digest),
+        ]
+        return report_text("rydghz-optimization-report", pairs)
 
 
 def optimize_dcrab(initial, fom, cfg, simulator):
@@ -420,6 +420,9 @@ class RampSpec:
     def __post_init__(self):
         if self.kind not in RAMP_KINDS:
             raise ValidationError(f"unknown ramp kind {self.kind!r}")
+        if not np.all(np.isfinite((self.total_time_us, self.delta_start_mhz,
+                                   self.delta_stop_mhz, self.omega_max_mhz))):
+            raise ValidationError("ramp times and frequencies must be finite")
         if self.total_time_us <= 0:
             raise ValidationError("total ramp time must be positive")
         if not (self.delta_start_mhz < 0.0 < self.delta_stop_mhz):
@@ -507,8 +510,9 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
 
     dH/ds follows analytically from the ramp parametrization.  The sum
     runs over the lowest `spec.eigenstate_count` states above the
-    instantaneous ground state; with a reflection-symmetric setup those
-    are taken inside the even sector, which is where the drive acts.
+    instantaneous ground state.  Spectra and dH/ds come from the
+    preparation engine's operator pieces, so with a reflection-symmetric
+    setup they live in the even sector, which is where the drive acts.
     Gaps below GAP_CLAMP_RAD (rad/us) are clamped and the clamp is
     flagged; a degenerate ground state raises instead, because the
     weight diverges at a true crossing.
@@ -519,31 +523,23 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
         s_grid = np.linspace(0.0, 1.0, spec.grid_points)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    space = _even_sector(terms, shifts)
-    if space is None:
-        coupling = terms.coupling
-        excitations = terms.excitations
-    else:
-        coupling = space.reduce_operator(terms.coupling)
-        excitations = space.reduce_diagonal(terms.excitations)
+    engine = _preparation_engine(terms, shifts)
     delta_slope_rad = mhz_to_angular(spec.delta_slope_mhz())
     weights = np.empty(s_grid.size)
     clamped = False
     for i, s in enumerate(s_grid):
         omega_rad = mhz_to_angular(spec.omega_mhz(s))
         delta_rad = mhz_to_angular(spec.delta_mhz(s))
-        sl = lowest_spectrum(
-            terms, shifts, omega_rad, delta_rad, spec.eigenstate_count + 1,
-            space=space, param=float(s),
-        )
+        sl = lowest_spectrum(engine, omega_rad, delta_rad, spec.eigenstate_count + 1,
+                             param=float(s))
         if sl.ground_degeneracy > 1:
             raise ScheduleSingularityError(
                 f"instantaneous gap vanishes at s = {s:.6f}", s_star=float(s)
             )
         ground = sl.vectors[:, 0]
         dh_ground = (
-            mhz_to_angular(spec.omega_slope_mhz(s)) * (coupling @ ground)
-            - delta_slope_rad * (excitations * ground)
+            mhz_to_angular(spec.omega_slope_mhz(s)) * (engine.coupling @ ground)
+            - delta_slope_rad * (engine.excitations * ground)
         )
         elements = sl.vectors[:, 1:].conj().T @ dh_ground
         gaps = sl.energies[1:]
@@ -674,9 +670,10 @@ def eigenpopulation_trace(pulse, terms, shifts=None, m=8, n_times=41,
     The state starts from all atoms in the ground state and is sampled
     on a uniform time grid with n_times points including both endpoints
     (the step size bends slightly from `dt` so the grid lands on whole
-    steps).  With a reflection-symmetric setup both the dynamics and the
-    spectra live in the even sector, so eigenstate counting skips odd
-    states the drive cannot reach.
+    steps).  Spectra come from the simulator's engine, so with a
+    reflection-symmetric setup they live in the even sector with the
+    dynamics, and eigenstate counting skips odd states the drive cannot
+    reach.
     """
     if m < 1:
         raise ValidationError(f"need at least one eigenstate, got m={m}")
@@ -685,8 +682,7 @@ def eigenpopulation_trace(pulse, terms, shifts=None, m=8, n_times=41,
     if pulse.tau <= 0:
         raise ValidationError("the pulse must have a positive duration")
     simulator = PreparationSimulator(terms, shifts, dt=dt)
-    space = simulator.space
-    sector = space if isinstance(space, SymmetrizedBasis) else None
+    engine = simulator.engine
     n_segments = n_times - 1
     steps_per_segment = max(1, int(round(pulse.tau / (dt * n_segments))))
     dt_effective = pulse.tau / (n_segments * steps_per_segment)
@@ -695,16 +691,12 @@ def eigenpopulation_trace(pulse, terms, shifts=None, m=8, n_times=41,
 
     def snapshot(t, amplitudes):
         omega_rad, delta_rad = pulse.sample(t)
-        psi = StateVector(space, np.array(amplitudes, dtype=complex))
-        slices.append(
-            lowest_spectrum(
-                terms, shifts, float(omega_rad), float(delta_rad), m,
-                psi=psi, space=sector, param=float(t),
-            )
-        )
+        psi = StateVector(engine.space, np.array(amplitudes, dtype=complex))
+        slices.append(lowest_spectrum(engine, float(omega_rad), float(delta_rad), m,
+                                      psi=psi, param=float(t)))
 
     snapshot(0.0, simulator.initial)
-    simulator.engine.run(
+    engine.run(
         simulator.initial, pulse, dt=dt_effective,
         observer=snapshot, observer_stride=steps_per_segment,
     )

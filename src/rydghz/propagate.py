@@ -24,7 +24,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .basis import SymmetrizedBasis
 from .errors import PropagationError, SpectralError, ValidationError
-from .hamiltonian import build_hamiltonian
 
 DEFAULT_DT_US = 0.001
 KRYLOV_TOL = 1e-12
@@ -209,12 +208,13 @@ def drive_matvec(coupling, omega_rad, diag):
 class SampledEvolution:
     """Prepared midpoint-sampled propagator for one space.
 
-    Holds the drive template and the control-independent diagonal so that
-    repeated pulse evaluations (optimization loops) skip the setup cost.
-    The template is kept as a CSR matrix with complex values (its index
-    arrays shared with the one given), so no product converts it.  Works
-    on a full Basis or, when every diagonal term is reflection symmetric,
-    on a SymmetrizedBasis.
+    Holds the pieces of H = omega * coupling + diag(static - delta *
+    excitations) so that repeated pulse evaluations (optimization loops)
+    skip the setup cost; lowest_spectrum reads the same pieces.  The
+    coupling is a CSR matrix with complex values (its index arrays shared
+    with the one given), so no product converts it.  Works on a full Basis
+    or, when every diagonal term is reflection symmetric, on a
+    SymmetrizedBasis: the one place the pieces are reduced into a sector.
     """
 
     def __init__(self, space, terms, shifts=None, coupling=None):
@@ -303,21 +303,21 @@ class SpectrumSlice:
         return float(np.sum(self.overlaps[: self.ground_degeneracy]))
 
 
-def lowest_spectrum(terms, shifts, omega_rad, delta_rad, m, psi=None, space=None,
-                    param=0.0):
-    """Lowest m eigenpairs of H(omega, delta); deterministic start vector.
+def lowest_spectrum(engine, omega_rad, delta_rad, m, psi=None, param=0.0):
+    """Lowest m eigenpairs of H(omega, delta) from a SampledEvolution's pieces.
 
-    Small problems are solved densely; larger ones through a Lanczos
-    eigensolver on the sparse matrix.
+    The spectrum lives in the engine's (possibly sector-reduced) space, with
+    the operator the evolution uses; a coupling with zero imaginary part
+    reaches the solver as a real matrix.  Small problems are solved densely;
+    larger ones by a Lanczos eigensolver from a deterministic start vector.
     """
     if m < 1:
         raise ValidationError(f"need at least one eigenpair, got m={m}")
-    h = build_hamiltonian(terms, shifts, omega_rad, delta_rad)
-    if space is not None and isinstance(space, SymmetrizedBasis):
-        h = space.reduce_operator(sparse.csr_matrix(h))
-        diag_dim = space.dim
-    else:
-        diag_dim = terms.basis.dim
+    coupling = engine.coupling
+    if not coupling.data.imag.any():
+        coupling = coupling.real
+    h = omega_rad * coupling + sparse.diags(engine.static_diag - delta_rad * engine.excitations)
+    diag_dim = engine.space.dim
     m = min(m, diag_dim)
     if diag_dim <= _DENSE_SPECTRUM_CUTOFF or m > diag_dim // 2:
         evals, vecs = np.linalg.eigh(h.toarray())

@@ -18,6 +18,7 @@ from . import propagate
 from .basis import ChainGeometry, enumerate_basis
 from .detection import sample_shots
 from .errors import FitError, ValidationError
+from .fileio import TableData, report_text
 from .hamiltonian import (
     LocalShifts,
     build_hamiltonian,
@@ -74,19 +75,17 @@ class GhzDecomposition:
         return float(-np.angle(self.coherence)) if self.coherence != 0 else 0.0
 
     def to_text(self, provenance=None):
-        lines = [
-            "# rydghz-ghz-decomposition",
-            f"population_a: {self.population_a!r}",
-            f"population_abar: {self.population_abar!r}",
-            f"coherence_real: {self.coherence.real!r}",
-            f"coherence_imag: {self.coherence.imag!r}",
-            f"coherence_abs: {abs(self.coherence)!r}",
-            f"fidelity: {self.fidelity!r}",
-            f"exact: {self.exact}",
+        pairs = [
+            ("population_a", self.population_a),
+            ("population_abar", self.population_abar),
+            ("coherence_real", self.coherence.real),
+            ("coherence_imag", self.coherence.imag),
+            ("coherence_abs", abs(self.coherence)),
+            ("fidelity", self.fidelity),
+            ("exact", self.exact),
         ]
-        for key in sorted(provenance or {}):
-            lines.append(f"{key}: {provenance[key]}")
-        return "\n".join(lines) + "\n"
+        pairs += [(key, provenance[key]) for key in sorted(provenance or {})]
+        return report_text("rydghz-ghz-decomposition", pairs)
 
 
 def exact_ghz_decomposition(state, basis=None):
@@ -433,23 +432,19 @@ class ParityScan:
     n_shots: int | None = None
 
     def to_table(self):
-        lines = [
-            "# rydghz-parity-scan",
-            f"# n_sites: {self.n_sites}",
-            f"# delta_p_mhz: {self.delta_p_mhz!r}",
-            f"# fit_frequency_mhz: {self.frequency_mhz!r}",
-            f"# amplitude: {self.amplitude!r}",
-            f"# phase: {self.phase!r}",
-            f"# offset: {self.offset!r}",
-            f"# mode: {self.mode}",
-            "# columns: time_us,parity" + (",sigma" if self.parity_sigma is not None else ""),
-        ]
-        for j, (t, e) in enumerate(zip(self.times_us, self.parity)):
-            row = f"{float(t)!r},{float(e)!r}"
-            if self.parity_sigma is not None:
-                row += f",{float(self.parity_sigma[j])!r}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        columns = [("time_us", self.times_us), ("parity", self.parity)]
+        if self.parity_sigma is not None:
+            columns.append(("sigma", self.parity_sigma))
+        metadata = (
+            ("n_sites", str(self.n_sites)),
+            ("delta_p_mhz", repr(self.delta_p_mhz)),
+            ("fit_frequency_mhz", repr(self.frequency_mhz)),
+            ("amplitude", repr(self.amplitude)),
+            ("phase", repr(self.phase)),
+            ("offset", repr(self.offset)),
+            ("mode", self.mode),
+        )
+        return TableData.from_columns("rydghz-parity-scan", columns, metadata).to_text()
 
 
 def default_scan_times(n_sites, delta_p_mhz, n_times=None):
@@ -460,9 +455,9 @@ def default_scan_times(n_sites, delta_p_mhz, n_times=None):
     makes those harmonics orthogonal on the grid, so the fixed-frequency
     fit reads off the N*delta_p Fourier coefficient without leakage.
     """
-    if delta_p_mhz <= 0:
-        raise ValidationError("staggered probe amplitude must be positive")
-    n = int(n_times) if n_times else max(64, 4 * n_sites)
+    if not (np.isfinite(delta_p_mhz) and delta_p_mhz > 0):
+        raise ValidationError("staggered probe amplitude must be finite and positive")
+    n = max(64, 4 * n_sites) if n_times is None else int(n_times)
     if n < 2 * n_sites + 2:
         raise ValidationError("scan grid too coarse for the fastest harmonic")
     period = 1.0 / delta_p_mhz

@@ -345,6 +345,22 @@ class TestGlobalFlags:
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--n-sites", 4, "--ramp", "linear", "--total-time", "nan"),
+        ("evolve", "--n-sites", 4, "--ramp", "linear", "--total-time", "inf"),
+        ("evolve", "--n-sites", 4, "--ramp", "linear", "--v-nn", "nan"),
+        ("ramp-compare", "--n-sites", 4, "--times", "nan"),
+        ("bell-distribute", "--n-sites", 4, "--reverse-time", "nan"),
+        ("bell-distribute", "--n-sites", 4, "--edge-shift", "nan"),
+        ("parity-scan", "--n-sites", 4, "--delta-p", "nan"),
+        ("parity-scan", "--n-sites", 4, "--n-times", 0),
+        ("optimize", "--n-sites", 4, "--omega-max", "nan"),
+        ("optimize", "--n-sites", 4, "--simplex-scale", "nan"),
+        ("optimize", "--n-sites", 4, "--fom-tolerance", "nan"),
+    ])
+    def test_bad_numbers_exit_with_validation_code(self, outroot, argv):
+        assert run("--seed", 0, "--out-dir", outroot / "bad-number", *argv) == 2
+
     def test_invalid_threads(self, outroot):
         assert run("--threads", 0, "--out-dir", outroot / "t0", "evolve",
                    "--n-sites", 4, "--ramp", "linear") == 2

@@ -143,3 +143,9 @@ def test_waveform_validation():
             guess_omega=Waveform("constant", {"value": 1.0}),
             guess_delta=Waveform("constant", {"value": 0.0}),
         )
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1])
+def test_pulse_duration_must_be_finite_and_nonnegative(tau):
+    with pytest.raises(ValidationError):
+        standard_guess_pulse(tau)

@@ -149,3 +149,17 @@ def test_number_diagonal(basis6):
     assert n1[basis6.index_of("010000")] == 0.0
     with pytest.raises(ValidationError):
         terms.number_diagonal(7)
+
+
+@pytest.mark.parametrize("v_mhz", [float("nan"), float("inf"), -1.0])
+def test_interaction_must_be_finite_and_nonnegative(basis6, v_mhz):
+    with pytest.raises(ValidationError):
+        build_terms(basis6, v_mhz=v_mhz)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_local_shifts_must_be_finite(value):
+    with pytest.raises(ValidationError):
+        LocalShifts((0.0, value, 0.0))
+    with pytest.raises(ValidationError):
+        LocalShifts.edges(4, value)

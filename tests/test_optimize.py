@@ -9,7 +9,7 @@ from rydghz.errors import (
     ScheduleSingularityError,
     ValidationError,
 )
-from rydghz.hamiltonian import LocalShifts, build_terms
+from rydghz.hamiltonian import LocalShifts, build_hamiltonian, build_terms
 from rydghz.optimize import (
     DcrabConfig,
     FigureOfMerit,
@@ -26,7 +26,14 @@ from rydghz.optimize import (
     ramp_pulse,
     schedule_from_weight,
 )
-from rydghz.propagate import StateVector, basis_state, ghz_state, ground_state
+from rydghz.propagate import (
+    DEGENERACY_TOL,
+    SampledEvolution,
+    StateVector,
+    basis_state,
+    ghz_state,
+    ground_state,
+)
 
 from _oracles import dense_evolve
 
@@ -178,6 +185,12 @@ class TestDcrabConfig:
         with pytest.raises(ValidationError):
             DcrabConfig(simplex_scale_mhz=-1.0)
 
+    @pytest.mark.parametrize("field", ["simplex_scale_mhz", "fom_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            DcrabConfig(**{field: value})
+
 
 class TestDcrab:
     def test_monotone_best_so_far(self, dcrab4):
@@ -285,6 +298,15 @@ class TestRampSpec:
             RampSpec("local_adiabatic", 1.0, eigenstate_count=0)
         with pytest.raises(ValidationError):
             RampSpec("local_adiabatic", 1.0, grid_points=2)
+
+    @pytest.mark.parametrize(
+        "field", ["total_time_us", "delta_start_mhz", "delta_stop_mhz", "omega_max_mhz"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        fields = {"kind": "linear", "total_time_us": 1.0, field: value}
+        with pytest.raises(ValidationError):
+            RampSpec(**fields)
 
     def test_control_parametrization(self):
         spec = RampSpec("linear", 1.0)
@@ -468,6 +490,38 @@ class TestEigenpopulationTrace:
         pulse = standard_guess_pulse(0.1)
         trace = eigenpopulation_trace(pulse, terms, shifts, m=50, n_times=3, dt=0.002)
         assert trace[0].energies.size == 5  # even-sector dimension at N=4
+
+    def test_matches_a_projected_full_basis_reference(self):
+        basis = enumerate_basis(ChainGeometry(8))
+        terms = build_terms(basis)
+        shifts = LocalShifts.preparation_default(8)
+        pulse = standard_guess_pulse(0.8)
+        m, n_times, dt = 6, 21, 0.002  # 20 whole steps per segment
+        trace = eigenpopulation_trace(pulse, terms, shifts, m=m, n_times=n_times, dt=dt)
+        # States from the same sector propagation, so only the spectra differ.
+        sector = symmetry_sector(basis, "even")
+        start = sector.to_sector(ground_state(basis).amplitudes)
+        states = [start]
+        SampledEvolution(sector, terms, shifts).run(
+            start, pulse, dt=dt, observer=lambda _t, amps: states.append(amps.copy()),
+            observer_stride=20,
+        )
+        assert len(states) == len(trace) == n_times
+        for sl, psi in zip(trace, states):
+            omega, delta = pulse.sample(sl.param)
+            h = sector.reduce_operator(build_hamiltonian(terms, shifts, omega, delta))
+            evals, vecs = np.linalg.eigh(h.toarray())
+            assert sl.ground_energy == pytest.approx(evals[0], abs=1e-10)
+            assert np.allclose(sl.energies, evals[:m] - evals[0], rtol=0.0, atol=1e-10)
+            pops = np.abs(vecs.conj().T @ psi) ** 2
+            # Compare populations summed over each degenerate cluster that
+            # lies wholly inside the m tracked levels.
+            edges = np.flatnonzero(np.diff(evals) > DEGENERACY_TOL) + 1
+            for lo, hi in zip(np.r_[0, edges], np.r_[edges, evals.size]):
+                if hi <= m:
+                    assert sl.overlaps[lo:hi].sum() == pytest.approx(
+                        pops[lo:hi].sum(), abs=1e-10
+                    )
 
     def test_validation(self, chain4):
         _, terms, shifts = chain4

@@ -299,7 +299,7 @@ def test_spectrum_classical_limit():
     shifts = LocalShifts.preparation_default(4)
     energies = classical_diagonal_energies(basis, shifts.as_array(), mhz_to_angular(20.0))
     order = np.argsort(energies)
-    sl = lowest_spectrum(terms, shifts, 0.0, mhz_to_angular(20.0), m=4)
+    sl = lowest_spectrum(SampledEvolution(basis, terms, shifts), 0.0, mhz_to_angular(20.0), m=4)
     assert sl.ground_energy == pytest.approx(energies[order[0]], abs=1e-9)
     assert sl.ground_degeneracy == 2
     i_a, i_abar = basis.ghz_indices()
@@ -312,11 +312,12 @@ def test_spectrum_negative_delta_gap():
     basis = enumerate_basis(ChainGeometry(4))
     terms = build_terms(basis)
     shifts = LocalShifts.preparation_default(4)
-    sl = lowest_spectrum(terms, shifts, 0.0, mhz_to_angular(-20.0), m=3)
+    engine = SampledEvolution(basis, terms, shifts)
+    sl = lowest_spectrum(engine, 0.0, mhz_to_angular(-20.0), m=3)
     assert sl.ground_degeneracy == 1
     assert sl.energies[1] == pytest.approx(TWO_PI * 20.0, abs=1e-9)
     psi = ground_state(basis)
-    sl2 = lowest_spectrum(terms, shifts, 0.0, mhz_to_angular(-20.0), m=3, psi=psi)
+    sl2 = lowest_spectrum(engine, 0.0, mhz_to_angular(-20.0), m=3, psi=psi)
     assert sl2.overlaps[0] == pytest.approx(1.0, abs=1e-12)
     assert sl2.ground_population() == pytest.approx(1.0, abs=1e-12)
 
@@ -325,7 +326,7 @@ def test_spectrum_sparse_path_matches_dense():
     basis = enumerate_basis(ChainGeometry(16))  # dim 2584 forces the sparse path
     terms = build_terms(basis)
     shifts = LocalShifts.preparation_default(16)
-    sl = lowest_spectrum(terms, shifts, TWO_PI * 5.0, TWO_PI * 2.0, m=4)
+    sl = lowest_spectrum(SampledEvolution(basis, terms, shifts), TWO_PI * 5.0, TWO_PI * 2.0, m=4)
     import scipy.sparse
 
     from rydghz.hamiltonian import build_hamiltonian
@@ -333,6 +334,54 @@ def test_spectrum_sparse_path_matches_dense():
     h = build_hamiltonian(terms, shifts, TWO_PI * 5.0, TWO_PI * 2.0).toarray()
     ref = np.linalg.eigvalsh(h)[:4]
     assert np.allclose(sl.ground_energy + sl.energies, ref, atol=1e-6)
+
+
+def test_spectrum_of_a_complex_coupling_matches_dense():
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    shifts = LocalShifts.preparation_default(6)
+    coupling = drive_coupling(basis, phase=0.7)
+    engine = SampledEvolution(basis, terms, shifts, coupling=coupling)
+    omega, delta = TWO_PI * 3.0, TWO_PI * 1.5
+    sl = lowest_spectrum(engine, omega, delta, m=6)
+    h = omega * coupling.toarray() + np.diag(
+        terms.static_diagonal(shifts) - delta * terms.excitations
+    )
+    assert np.abs(h.imag).max() > 0.1
+    evals = np.linalg.eigh(h)[0][:6]
+    levels = sl.ground_energy + sl.energies
+    assert np.allclose(levels, evals, rtol=0.0, atol=1e-10)
+    assert np.abs(h @ sl.vectors - sl.vectors * levels).max() < 1e-10
+
+
+@pytest.mark.parametrize("phase, real", [(0.0, True), (0.7, False)])
+@pytest.mark.parametrize("lanczos", [False, True])
+def test_spectrum_solver_input(monkeypatch, phase, real, lanczos):
+    # A real coupling reaches either solver as a real matrix with
+    # contiguous values; a complex one stays complex.
+    basis = enumerate_basis(ChainGeometry(8))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms, coupling=drive_coupling(basis, phase=phase))
+    seen = []
+    if lanczos:
+        monkeypatch.setattr(propagate, "_DENSE_SPECTRUM_CUTOFF", 10)
+        eigsh = propagate.eigsh
+
+        def spy(h, **kwargs):
+            seen.append((np.isrealobj(h.data), h.data.flags.c_contiguous))
+            return eigsh(h, **kwargs)
+
+        monkeypatch.setattr(propagate, "eigsh", spy)
+    else:
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            seen.append((np.isrealobj(a), a.flags.c_contiguous))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+    lowest_spectrum(engine, TWO_PI * 3.0, TWO_PI * 1.5, m=4)
+    assert seen == [(real, True)]
 
 
 def test_spectrum_sparse_path_converges_at_weak_drive():
@@ -348,7 +397,7 @@ def test_spectrum_sparse_path_converges_at_weak_drive():
     spec = RampSpec(kind="local_adiabatic", total_time_us=1.1)
     omega = mhz_to_angular(spec.omega_mhz(0.005))
     delta = mhz_to_angular(spec.delta_mhz(0.005))
-    sl = lowest_spectrum(terms, shifts, omega, delta, m=16, space=sector)
+    sl = lowest_spectrum(SampledEvolution(sector, terms, shifts), omega, delta, m=16)
     h = sector.reduce_operator(build_hamiltonian(terms, shifts, omega, delta))
     ref = np.linalg.eigvalsh(h.toarray())[:16]
     assert sector.dim > 600

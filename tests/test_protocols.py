@@ -354,6 +354,16 @@ class TestParityScan:
         with pytest.raises(ValidationError):
             default_scan_times(8, 0.0)
 
+    def test_zero_grid_points_rejected(self):
+        # 0 is a requested grid size, not a request for the default grid
+        with pytest.raises(ValidationError):
+            default_scan_times(8, 3.8, n_times=0)
+
+    @pytest.mark.parametrize("delta_p", [float("nan"), float("inf")])
+    def test_non_finite_probe_rejected(self, delta_p):
+        with pytest.raises(ValidationError):
+            default_scan_times(8, delta_p)
+
     def test_amplitude_equals_quality_for_ghz(self, chain4, ux4):
         basis, terms = chain4
         scan = parity_oscillation_scan(ghz_state(basis), terms, 3.8, readout=ux4)
