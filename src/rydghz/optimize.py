@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .basis import symmetry_sector
 from .controls import (
@@ -25,6 +26,7 @@ from .controls import (
 from .errors import (
     OptimizationError,
     ScheduleSingularityError,
+    SpectralError,
     ValidationError,
 )
 from .fileio import TableData, report_text
@@ -32,6 +34,7 @@ from .propagate import (
     DEFAULT_DT_US,
     SampledEvolution,
     StateVector,
+    drive_matvec,
     ground_state,
     lowest_spectrum,
 )
@@ -43,8 +46,12 @@ RAMP_KINDS = ("linear", "local_adiabatic", "optimal_control")
 # Textbook downhill-simplex coefficients: reflection, expansion,
 # contraction and shrink.
 SIMPLEX_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
-# Instantaneous gaps below this (rad/us) are clamped in the diabatic weight.
-GAP_CLAMP_RAD = 1e-6
+# The diabatic weight's MINRES solve at each schedule point: its stopping
+# tolerance (scipy's rtol, on |r| / (|A| |x|)), its iteration cap, and the
+# largest true residual |r| / |b| it may return.
+MINRES_TOL = 1e-10
+MINRES_MAX_ITER = 1000
+MINRES_RESIDUAL_BOUND = 1e-6
 # Samples of a local-adiabatic pulse's controls along its schedule.
 RAMP_TIME_POINTS = 2001
 
@@ -404,9 +411,9 @@ class RampSpec:
 
     The drive envelope is omega_max (1 - cos^12 pi s) and the detuning
     runs linearly from delta_start to delta_stop as s goes 0 -> 1; the
-    kind fixes how s maps onto wall time.  eigenstate_count bounds the
-    diabatic-coupling sum and grid_points sets the s-grid resolution,
-    both used only by the local_adiabatic kind.
+    kind fixes how s maps onto wall time.  grid_points sets the s-grid
+    on which the local_adiabatic kind samples its diabatic weight
+    |d psi_0/ds|, a sum over every excited state with no cut.
     """
 
     kind: str
@@ -414,7 +421,6 @@ class RampSpec:
     delta_start_mhz: float = -20.0
     delta_stop_mhz: float = 20.0
     omega_max_mhz: float = 5.0
-    eigenstate_count: int = 15
     grid_points: int = 201
 
     def __post_init__(self):
@@ -429,8 +435,6 @@ class RampSpec:
             raise ValidationError("detuning must sweep from negative to positive")
         if self.omega_max_mhz <= 0:
             raise ValidationError("omega_max must be positive")
-        if self.eigenstate_count < 1:
-            raise ValidationError("eigenstate count must be at least 1")
         if self.grid_points < 3:
             raise ValidationError("schedule grid needs at least 3 points")
 
@@ -461,15 +465,14 @@ class RampSpec:
 class Schedule:
     """Monotone ramp schedule with s(0) = 0 and s(T) = 1.
 
-    times_us holds t(s) on the stored s-grid; clamped records whether
-    the gap guard engaged anywhere while building the weight.
+    times_us holds t(s) on the stored s-grid, and weights the diabatic
+    weight |d psi_0/ds| that set ds/dt there.
     """
 
     total_time_us: float
     s_grid: np.ndarray
     times_us: np.ndarray
     weights: np.ndarray
-    clamped: bool = False
 
     def s_of_t(self, t):
         t = np.asarray(t, dtype=float)
@@ -506,48 +509,80 @@ def schedule_from_weight(s_grid, weights, total_time_us):
 
 
 def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
-    """Diabatic coupling weight sqrt(sum_n |<E_n|dH/ds|E_0>|^2 / gap_n^2).
+    """Diabatic coupling weight |d psi_0/ds|, the ground state's speed.
 
-    dH/ds follows analytically from the ramp parametrization.  The sum
-    runs over the lowest `spec.eigenstate_count` states above the
-    instantaneous ground state.  Spectra and dH/ds come from the
-    preparation engine's operator pieces, so with a reflection-symmetric
-    setup they live in the even sector, which is where the drive acts.
-    Gaps below GAP_CLAMP_RAD (rad/us) are clamped and the clamp is
-    flagged; a degenerate ground state raises instead, because the
+    |x| for x = (H - E_0)^+ Q dH/ds |psi_0>, Q = 1 - |psi_0><psi_0|, equals
+    sqrt(sum_n |<E_n|dH/ds|E_0>|^2 / (E_n - E_0)^2) over every excited
+    state, with no eigenstate cut: the ground state's Fubini-Study speed
+    (Kolodrubetz, Sels, Mehta & Polkovnikov, Phys. Rep. 697, 1 (2017)).
+    Each grid point takes the ground pair from lowest_spectrum and x from
+    one MINRES solve (Paige & Saunders, SIAM J. Numer. Anal. 12, 617
+    (1975)) on the preparation engine's operator, so with a
+    reflection-symmetric setup it works in the even sector, where the drive
+    acts.  dH/ds follows analytically from the ramp parametrization.  A
+    degenerate ground state raises ScheduleSingularityError, because the
     weight diverges at a true crossing.
 
-    Returns (s_grid, weights, clamped).
+    Returns (s_grid, weights).
     """
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, spec.grid_points)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
     engine = _preparation_engine(terms, shifts)
+    coupling = engine.solver_coupling
     delta_slope_rad = mhz_to_angular(spec.delta_slope_mhz())
     weights = np.empty(s_grid.size)
-    clamped = False
     for i, s in enumerate(s_grid):
         omega_rad = mhz_to_angular(spec.omega_mhz(s))
         delta_rad = mhz_to_angular(spec.delta_mhz(s))
-        sl = lowest_spectrum(engine, omega_rad, delta_rad, spec.eigenstate_count + 1,
-                             param=float(s))
+        sl = lowest_spectrum(engine, omega_rad, delta_rad, 2, param=float(s))
         if sl.ground_degeneracy > 1:
             raise ScheduleSingularityError(
                 f"instantaneous gap vanishes at s = {s:.6f}", s_star=float(s)
             )
         ground = sl.vectors[:, 0]
-        dh_ground = (
-            mhz_to_angular(spec.omega_slope_mhz(s)) * (engine.coupling @ ground)
+        b = (
+            mhz_to_angular(spec.omega_slope_mhz(s)) * (coupling @ ground)
             - delta_slope_rad * (engine.excitations * ground)
         )
-        elements = sl.vectors[:, 1:].conj().T @ dh_ground
-        gaps = sl.energies[1:]
-        if np.any(gaps < GAP_CLAMP_RAD):
-            clamped = True
-            gaps = np.maximum(gaps, GAP_CLAMP_RAD)
-        weights[i] = np.sqrt(np.sum(np.abs(elements) ** 2 / gaps**2))
-    return s_grid, weights, clamped
+        shifted = drive_matvec(
+            coupling, omega_rad,
+            engine.static_diag - delta_rad * engine.excitations - sl.ground_energy,
+        )
+        x = _deflated_solve(shifted, ground, b, float(s))
+        weights[i] = np.linalg.norm(x)
+    return s_grid, weights
+
+
+def _deflated_solve(shifted, ground, b, s):
+    """x = (H - E_0)^+ Q b by MINRES on Q (H - E_0) Q, Q = 1 - |g><g|.
+
+    `shifted` applies H - E_0.  b is projected twice: near Omega = 0,
+    dH/ds |g> is almost parallel to |g>, and one projection leaves a
+    rounding-level component along the operator's null direction that the
+    solve would amplify.  A solve that MINRES reports as unconverged, or
+    whose true residual |Q b - Q (H - E_0) Q x| exceeds MINRES_RESIDUAL_BOUND
+    relative to |Q b|, raises SpectralError: MINRES's own test is relative
+    to |A| |x|, and it also reports a least-squares solution as success.
+    """
+
+    def project(v):
+        return v - ground * np.vdot(ground, v)
+
+    def matvec(v):
+        return project(shifted(project(v)))
+
+    b = project(project(b))
+    op = LinearOperator((b.size, b.size), matvec=matvec, dtype=b.dtype)
+    x, info = minres(op, b, rtol=MINRES_TOL, maxiter=MINRES_MAX_ITER)
+    residual = np.linalg.norm(b - matvec(x))
+    if info != 0 or residual > MINRES_RESIDUAL_BOUND * np.linalg.norm(b):
+        raise SpectralError(
+            f"MINRES missed its tolerance at s = {s:.6f} "
+            f"(info {info}, residual {residual:.3e} of |b| {np.linalg.norm(b):.3e})"
+        )
+    return x
 
 
 def diabaticity_schedule(spec, terms, shifts=None):
@@ -556,9 +591,8 @@ def diabaticity_schedule(spec, terms, shifts=None):
         raise ValidationError(
             f"schedule needs a local_adiabatic ramp spec, got kind {spec.kind!r}"
         )
-    s_grid, weights, clamped = diabaticity_weight(spec, terms, shifts)
-    schedule = schedule_from_weight(s_grid, weights, spec.total_time_us)
-    return replace(schedule, clamped=clamped) if clamped else schedule
+    s_grid, weights = diabaticity_weight(spec, terms, shifts)
+    return schedule_from_weight(s_grid, weights, spec.total_time_us)
 
 
 def ramp_pulse(spec, schedule=None):

@@ -17,8 +17,10 @@ exact phases.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -235,6 +237,14 @@ class SampledEvolution:
             self.static_diag = terms.static_diagonal(shifts)
             self.excitations = terms.excitations
 
+    @cached_property
+    def solver_coupling(self):
+        """The coupling as eigensolvers and linear solvers take it: a real
+        matrix when its imaginary part is all zero, else the complex one."""
+        if self.coupling.data.imag.any():
+            return self.coupling
+        return self.coupling.real
+
     def matvec_at(self, omega_rad, delta_rad):
         return drive_matvec(self.coupling, omega_rad,
                             self.static_diag - delta_rad * self.excitations)
@@ -308,33 +318,40 @@ def lowest_spectrum(engine, omega_rad, delta_rad, m, psi=None, param=0.0):
 
     The spectrum lives in the engine's (possibly sector-reduced) space, with
     the operator the evolution uses; a coupling with zero imaginary part
-    reaches the solver as a real matrix.  Small problems are solved densely;
-    larger ones by a Lanczos eigensolver from a deterministic start vector.
+    reaches the solver as a real matrix.  Small problems are solved densely
+    for the m requested levels only; larger ones by a Lanczos eigensolver
+    from a deterministic start vector.
     """
     if m < 1:
         raise ValidationError(f"need at least one eigenpair, got m={m}")
-    coupling = engine.coupling
-    if not coupling.data.imag.any():
-        coupling = coupling.real
-    h = omega_rad * coupling + sparse.diags(engine.static_diag - delta_rad * engine.excitations)
     diag_dim = engine.space.dim
     m = min(m, diag_dim)
-    if diag_dim <= _DENSE_SPECTRUM_CUTOFF or m > diag_dim // 2:
-        evals, vecs = np.linalg.eigh(h.toarray())
-        evals, vecs = evals[:m], vecs[:, :m]
+    coupling = engine.solver_coupling
+    diag = engine.static_diag - delta_rad * engine.excitations
+    lanczos = diag_dim > _DENSE_SPECTRUM_CUTOFF and m <= diag_dim // 2
+    # ARPACK misses an eigenvalue that is exactly zero with a basis vector
+    # as eigenvector, as the all-ground state's is at omega = 0; a
+    # Gershgorin shift puts the whole spectrum at 1 rad/us or above.
+    shift = 0.0
+    if lanczos:
+        shift = diag.min() - abs(omega_rad) * abs(coupling).sum(axis=1).max() - 1.0
+    h = omega_rad * coupling + sparse.diags(diag - shift)
+    if not lanczos:
+        evals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, m - 1])
     else:
         v0 = np.full(diag_dim, 1.0 / np.sqrt(diag_dim))
         # ARPACK's default subspace (2m+1) stalls on the clustered spectra
-        # of weak drives; a wider fixed subspace converges there.
-        ncv = min(diag_dim, max(2 * m + 1, 128))
+        # of weak drives.  20 vectors per pair, 40 to 128 in all, converge
+        # there, and 40 converge fastest for a ground pair.
+        ncv = min(diag_dim, max(2 * m + 1, min(128, max(40, 20 * m))))
         try:
             evals, vecs = eigsh(h, k=m, which="SA", v0=v0, tol=1e-10, ncv=ncv)
         except ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
-    e0 = float(evals[0])
-    rel = evals - e0
+    e0 = float(evals[0]) + shift
+    rel = evals - evals[0]
     degeneracy = int(np.sum(rel <= DEGENERACY_TOL))
     overlaps = None
     if psi is not None:

@@ -110,6 +110,41 @@ def dense_evolve(basis, pulse, shifts_mhz, psi0, dt, v_mhz=24.0,
     return amps
 
 
+def even_sector_isometry(basis):
+    """Columns spanning the reflection-even states, built from the pattern
+    strings: |s> for a palindrome, (|s> + |reverse s>)/sqrt(2) otherwise."""
+    patterns = [basis.pattern_string(i) for i in range(basis.dim)]
+    index = {p: i for i, p in enumerate(patterns)}
+    columns = []
+    for i, s in enumerate(patterns):
+        j = index[s[::-1]]
+        if j < i:
+            continue
+        column = np.zeros(basis.dim)
+        column[[i, j]] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+        columns.append(column)
+    return np.array(columns).T
+
+
+def dense_diabatic_weight(basis, shifts_mhz, omega_rad, delta_rad, omega_slope_rad,
+                          delta_slope_rad, even_sector=False):
+    """sqrt(sum_n |<n|dH/ds|0>|^2 / (E_n - E_0)^2) over every excited state.
+
+    One full eigendecomposition of dense_hamiltonian; dH/ds = omega' drive
+    - delta' n is dense_hamiltonian with no interactions or shifts at
+    (omega', delta').  With even_sector both are first restricted to the
+    reflection-even states of even_sector_isometry.
+    """
+    h = dense_hamiltonian(basis, shifts_mhz, omega_rad, delta_rad)
+    dh = dense_hamiltonian(basis, None, omega_slope_rad, delta_slope_rad, v_mhz=0.0)
+    if even_sector:
+        p = even_sector_isometry(basis)
+        h, dh = p.T @ h @ p, p.T @ dh @ p
+    evals, vecs = np.linalg.eigh(h)
+    elements = vecs[:, 1:].conj().T @ (dh @ vecs[:, 0])
+    return float(np.sqrt(np.sum(np.abs(elements) ** 2 / (evals[1:] - evals[0]) ** 2)))
+
+
 def classical_diagonal_energies(basis, shifts_mhz, delta_rad, v_mhz=24.0,
                                 interaction_range=3):
     """Diagonal energies at omega = 0, for classical minimization checks."""

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from rydghz import optimize
 from rydghz.cli import main
 from rydghz.controls import Pulse
 from rydghz.fileio import TableData, sha256_of_file
@@ -364,3 +365,9 @@ class TestGlobalFlags:
     def test_invalid_threads(self, outroot):
         assert run("--threads", 0, "--out-dir", outroot / "t0", "evolve",
                    "--n-sites", 4, "--ramp", "linear") == 2
+
+    def test_unconverged_schedule_solve_exits_with_numerical_code(self, outroot,
+                                                                  monkeypatch):
+        monkeypatch.setattr(optimize, "MINRES_MAX_ITER", 1)
+        assert run("--out-dir", outroot / "minres", "evolve", "--n-sites", 4,
+                   "--ramp", "local_adiabatic") == 3

@@ -7,6 +7,7 @@ from rydghz.controls import standard_guess_pulse
 from rydghz.errors import (
     OptimizationError,
     ScheduleSingularityError,
+    SpectralError,
     ValidationError,
 )
 from rydghz.hamiltonian import LocalShifts, build_hamiltonian, build_terms
@@ -35,7 +36,7 @@ from rydghz.propagate import (
     ground_state,
 )
 
-from _oracles import dense_evolve
+from _oracles import TWO_PI, dense_diabatic_weight, dense_evolve
 
 
 @pytest.fixture(scope="module")
@@ -295,8 +296,6 @@ class TestRampSpec:
         with pytest.raises(ValidationError):
             RampSpec("linear", 1.0, omega_max_mhz=0.0)
         with pytest.raises(ValidationError):
-            RampSpec("local_adiabatic", 1.0, eigenstate_count=0)
-        with pytest.raises(ValidationError):
             RampSpec("local_adiabatic", 1.0, grid_points=2)
 
     @pytest.mark.parametrize(
@@ -367,13 +366,12 @@ class TestScheduleFromWeight:
 class TestDiabaticitySchedule:
     def test_endpoints_and_monotonicity(self, chain4):
         _, terms, shifts = chain4
-        spec = RampSpec("local_adiabatic", 1.1, grid_points=101, eigenstate_count=6)
+        spec = RampSpec("local_adiabatic", 1.1, grid_points=101)
         schedule = diabaticity_schedule(spec, terms, shifts)
         assert schedule.s_of_t(0.0) == 0.0
         assert schedule.s_of_t(1.1) == pytest.approx(1.0, abs=1e-12)
         samples = schedule.s_of_t(np.linspace(0.0, 1.1, 64))
         assert np.all(np.diff(samples) > 0)
-        assert not schedule.clamped
 
     def test_total_time_rescaling_keeps_the_profile(self, chain4):
         _, terms, shifts = chain4
@@ -405,13 +403,41 @@ class TestDiabaticitySchedule:
         assert excinfo.value.s_star is not None
         assert excinfo.value.s_star > 0.9
 
-    def test_gap_clamp_is_flagged(self, chain4, monkeypatch):
+    def test_unconverged_solve_raises(self, chain4, monkeypatch):
         _, terms, shifts = chain4
-        monkeypatch.setattr(optimize, "GAP_CLAMP_RAD", 1e9)
-        spec = RampSpec("local_adiabatic", 1.0, grid_points=21, eigenstate_count=4)
-        schedule = diabaticity_schedule(spec, terms, shifts)
-        assert schedule.clamped
-        assert np.all(np.isfinite(schedule.weights))
+        monkeypatch.setattr(optimize, "MINRES_MAX_ITER", 1)
+        spec = RampSpec("local_adiabatic", 1.0, grid_points=21)
+        with pytest.raises(SpectralError, match="MINRES"):
+            diabaticity_schedule(spec, terms, shifts)
+
+    @pytest.mark.parametrize("n_sites, shifts_mhz, s_grid", [
+        # Reflection-symmetric preparation shifts: the even sector.
+        (8, LocalShifts.preparation_default(8).values_mhz, np.linspace(0.0, 1.0, 41)),
+        # Reflection-breaking shifts: the full basis.
+        (6, (-4.5, 0.0, -1.0, 0.0, 0.0, -3.0), np.linspace(0.0, 1.0, 41)),
+        # Even sector of dim 1309, above the dense cutoff: the Lanczos path,
+        # at both omega = 0 ends, a weak drive and near the weight's peak.
+        (16, LocalShifts.preparation_default(16).values_mhz,
+         np.array([0.0, 0.05, 0.55, 1.0])),
+    ], ids=["n8-even-sector", "n6-full-basis", "n16-lanczos"])
+    def test_weight_matches_dense_all_states_oracle(self, n_sites, shifts_mhz, s_grid):
+        basis = enumerate_basis(ChainGeometry(n_sites))
+        terms = build_terms(basis)
+        shifts = LocalShifts(tuple(shifts_mhz))
+        even = terms.static_is_reflection_symmetric(shifts)
+        assert even == (n_sites != 6)
+        spec = RampSpec("local_adiabatic", 1.1)
+        _, weights = diabaticity_weight(spec, terms, shifts, s_grid=s_grid)
+        reference = np.array([
+            dense_diabatic_weight(
+                basis, shifts_mhz, TWO_PI * spec.omega_mhz(s), TWO_PI * spec.delta_mhz(s),
+                TWO_PI * spec.omega_slope_mhz(s), TWO_PI * spec.delta_slope_mhz(),
+                even_sector=even,
+            )
+            for s in s_grid
+        ])
+        assert reference.max() > 1.0
+        assert np.allclose(weights, reference, rtol=1e-10, atol=1e-13 * reference.max())
 
     def test_beats_linear_ramp_at_eight_sites(self):
         basis = enumerate_basis(ChainGeometry(8))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rydghz import propagate
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
@@ -322,6 +323,24 @@ def test_spectrum_negative_delta_gap():
     assert sl2.ground_population() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spectrum_sparse_path_finds_an_exactly_zero_ground_energy():
+    # omega = 0 at negative detuning: the all-ground state has energy exactly
+    # 0 and a basis vector as eigenvector, which ARPACK alone misses.
+    basis = enumerate_basis(ChainGeometry(16))
+    terms = build_terms(basis)
+    shifts = LocalShifts.preparation_default(16)
+    sector = symmetry_sector(basis, "even")
+    delta = mhz_to_angular(-20.0)
+    sl = lowest_spectrum(SampledEvolution(sector, terms, shifts), 0.0, delta, m=2)
+    levels = np.unique(classical_diagonal_energies(basis, shifts.as_array(), delta))
+    assert sector.dim > 600
+    assert levels[0] == 0.0
+    assert sl.ground_energy == pytest.approx(0.0, abs=1e-9)
+    assert sl.energies[1] == pytest.approx(levels[1], abs=1e-9)
+    start = sector.to_sector(ground_state(basis).amplitudes)
+    assert abs(np.vdot(start, sl.vectors[:, 0])) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_spectrum_sparse_path_matches_dense():
     basis = enumerate_basis(ChainGeometry(16))  # dim 2584 forces the sparse path
     terms = build_terms(basis)
@@ -373,13 +392,13 @@ def test_spectrum_solver_input(monkeypatch, phase, real, lanczos):
 
         monkeypatch.setattr(propagate, "eigsh", spy)
     else:
-        eigh = np.linalg.eigh
+        eigh = scipy.linalg.eigh
 
-        def spy(a):
+        def spy(a, **kwargs):
             seen.append((np.isrealobj(a), a.flags.c_contiguous))
-            return eigh(a)
+            return eigh(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
     lowest_spectrum(engine, TWO_PI * 3.0, TWO_PI * 1.5, m=4)
     assert seen == [(real, True)]
 
