@@ -11,6 +11,7 @@ coupling weight is large.
 """
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,11 +140,16 @@ class NelderMeadResult:
 def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
     """Minimize with the standard downhill simplex; returns the best seen.
 
-    The simplex starts at x0 plus one scaled step along each coordinate
-    axis and moves by SIMPLEX_COEFFICIENTS; the loop stops when the value
-    spread across the simplex falls below `tolerance` or the evaluation
-    budget runs out.  The reported point is the best of every evaluation
-    made, which can beat the surviving simplex.
+    `objective` scores a stack of points: given an (m, n) array it returns
+    m values, one per row.  The simplex starts at x0 plus one scaled step
+    along each coordinate axis and moves by SIMPLEX_COEFFICIENTS; the
+    starting simplex and each shrink are scored in one call, the other
+    moves one point at a time.  The loop stops when the value spread
+    across the simplex falls below `tolerance` or the evaluation budget
+    runs out; a call that would pass the budget scores only the leading
+    points that fit, and the loop stops after it.  The reported point is
+    the best of every evaluation made, which can beat the surviving
+    simplex.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
@@ -160,16 +166,28 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
     best_x = None
     best_value = np.inf
 
-    def call(x):
+    def call(points):
         nonlocal best_x, best_value
-        if len(history) >= max_evaluations:
+        room = max_evaluations - len(history)
+        if room <= 0:
             raise _BudgetExhausted
-        value = float(objective(x))
-        history.append(value)
-        if value < best_value:
-            best_value = value
-            best_x = x.copy()
-        return value
+        batch = points[:room]
+        values = np.asarray(objective(batch), dtype=float)
+        if values.shape != (len(batch),):
+            raise ValidationError(
+                f"objective gave values of shape {values.shape} for {len(batch)} points"
+            )
+        for x, value in zip(batch, values.tolist()):
+            history.append(value)
+            if value < best_value:
+                best_value = value
+                best_x = x.copy()
+        if len(batch) < len(points):
+            raise _BudgetExhausted
+        return values
+
+    def call_one(x):
+        return float(call(x[None, :])[0])
 
     simplex = np.empty((n + 1, n))
     simplex[0] = x0
@@ -178,7 +196,7 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
         simplex[i + 1, i] += scale[i]
     converged = False
     try:
-        values = np.array([call(x) for x in simplex])
+        values = call(simplex)
         while True:
             order = np.argsort(values, kind="stable")
             simplex, values = simplex[order], values[order]
@@ -188,10 +206,10 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
             centroid = simplex[:-1].mean(axis=0)
             worst = simplex[-1]
             reflected = centroid + reflection * (centroid - worst)
-            f_reflected = call(reflected)
+            f_reflected = call_one(reflected)
             if f_reflected < values[0]:
                 expanded = centroid + expansion * (reflected - centroid)
-                f_expanded = call(expanded)
+                f_expanded = call_one(expanded)
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
                 else:
@@ -202,20 +220,19 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
                 accepted = False
                 if f_reflected < values[-1]:
                     contracted = centroid + contraction * (reflected - centroid)
-                    f_contracted = call(contracted)
+                    f_contracted = call_one(contracted)
                     if f_contracted <= f_reflected:
                         simplex[-1], values[-1] = contracted, f_contracted
                         accepted = True
                 else:
                     contracted = centroid - contraction * (centroid - worst)
-                    f_contracted = call(contracted)
+                    f_contracted = call_one(contracted)
                     if f_contracted < values[-1]:
                         simplex[-1], values[-1] = contracted, f_contracted
                         accepted = True
                 if not accepted:
-                    for i in range(1, n + 1):
-                        simplex[i] = simplex[0] + shrink * (simplex[i] - simplex[0])
-                        values[i] = call(simplex[i])
+                    simplex[1:] = simplex[0] + shrink * (simplex[1:] - simplex[0])
+                    values[1:] = call(simplex[1:])
     except _BudgetExhausted:
         converged = False
     return NelderMeadResult(
@@ -266,6 +283,12 @@ class PreparationSimulator:
         return StateVector(self.space, amps)
 
     def evaluate(self, pulse, fom):
+        """The figure of merit of `pulse`.  A sequence of pulses on one step
+        grid runs as one stacked evolution (SampledEvolution.run) and gives
+        a list of figures of merit."""
+        if isinstance(pulse, Sequence):
+            amps = self.engine.run(self.initial, pulse, dt=self.dt)
+            return [fom.evaluate(StateVector(self.space, row)) for row in amps]
         return fom.evaluate(self.final_state(pulse))
 
 
@@ -338,16 +361,26 @@ def optimize_dcrab(initial, fom, cfg, simulator):
     family contains the incumbent exactly), and lets the simplex tune
     the four new coefficients.  A step's term is kept only when it
     strictly improves the figure of merit, hence the result never falls
-    below the initial pulse.  Identical seeds give identical traces.
+    below the initial pulse.  The simplex's starting vertices and its
+    shrinks are each scored as one stacked run on the simulator; the
+    starting vertex at zero is the incumbent, so its known figure of
+    merit is recorded instead of run again.  Identical seeds give
+    identical traces.
     """
     rng = np.random.default_rng(cfg.seed)
     records = []
     best_seen = -np.inf
 
-    def scored(pulse, super_iteration):
+    def scored(pulses, super_iteration, known=None):
+        """Record and return the figure of merit of each pulse, in order.
+
+        The pulses run as one stack; a None entry is the incumbent, whose
+        figure of merit `known` is recorded without running it again.
+        """
         nonlocal best_seen
+        fresh = [pulse for pulse in pulses if pulse is not None]
         try:
-            value = simulator.evaluate(pulse, fom)
+            computed = iter(simulator.evaluate(fresh, fom) if fresh else ())
         except Exception as exc:
             raise OptimizationError(
                 f"figure of merit failed at super-iteration {super_iteration}, "
@@ -355,14 +388,16 @@ def optimize_dcrab(initial, fom, cfg, simulator):
                 super_iteration=super_iteration,
                 evaluation_index=len(records),
             ) from exc
-        best_seen = max(best_seen, value)
-        records.append(
-            FomEvaluation(len(records), super_iteration, value, best_seen)
-        )
-        return value
+        values = [known if pulse is None else next(computed) for pulse in pulses]
+        for value in values:
+            best_seen = max(best_seen, value)
+            records.append(
+                FomEvaluation(len(records), super_iteration, value, best_seen)
+            )
+        return values
 
     incumbent = initial
-    incumbent_fom = scored(initial, 0)
+    incumbent_fom = scored([initial], 0)[0]
     initial_fom = incumbent_fom
     super_best = []
     accepted = []
@@ -379,8 +414,13 @@ def optimize_dcrab(initial, fom, cfg, simulator):
                 crab_delta=_cd.with_last_coefficients(x[2], x[3]),
             )
 
+        def objective(points, _trial=trial, _j=j, _known=incumbent_fom):
+            # x = 0 leaves the new term empty: that trial is the incumbent.
+            pulses = [_trial(x) if x.any() else None for x in points]
+            return -np.array(scored(pulses, _j, _known))
+
         step = nelder_mead(
-            lambda x, _t=trial, _j=j: -scored(_t(x), _j),
+            objective,
             x0=np.zeros(4),
             scale=cfg.simplex_scale_mhz,
             max_evaluations=cfg.max_evaluations,

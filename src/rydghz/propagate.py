@@ -11,11 +11,14 @@ accurate in finite precision even when the basis loses orthogonality
 Musco, Musco & Sidford, SODA 2018).
 The same Lanczos loop gives dense output under a constant generator:
 one basis yields exp(-i t H) v at every requested time it reaches, and a
-single step is its one-time case.  Diagonal generators are advanced with
-exact phases.
+single step is its one-time case.  Independent pulses on one step grid
+run as one evolution of their direct sum, since exp(-i h (+)_k H_k) is
+(+)_k exp(-i h H_k): one Lanczos basis per step serves them all.
+Diagonal generators are advanced with exact phases.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -217,6 +220,8 @@ class SampledEvolution:
     with the one given), so no product converts it.  Works on a full Basis
     or, when every diagonal term is reflection symmetric, on a
     SymmetrizedBasis: the one place the pieces are reduced into a sector.
+    K pulses that share a step grid run as one evolution of the direct sum
+    of K copies (see run).
     """
 
     def __init__(self, space, terms, shifts=None, coupling=None):
@@ -236,6 +241,7 @@ class SampledEvolution:
             self.coupling = sparse.csr_matrix(coupling, dtype=complex)
             self.static_diag = terms.static_diagonal(shifts)
             self.excitations = terms.excitations
+        self._direct_sums = {}
 
     @cached_property
     def solver_coupling(self):
@@ -249,19 +255,69 @@ class SampledEvolution:
         return drive_matvec(self.coupling, omega_rad,
                             self.static_diag - delta_rad * self.excitations)
 
+    def _direct_sum(self, k):
+        """The engine of k uncoupled copies of this one, kept per k: a
+        block-diagonal coupling and tiled diagonals, so one stacked vector
+        carries k states and per-row omega and delta arrays drive them."""
+        engine = self._direct_sums.get(k)
+        if engine is None:
+            engine = object.__new__(SampledEvolution)
+            engine.space, engine.terms = self.space, self.terms
+            engine.coupling = sparse.block_diag([self.coupling] * k, format="csr")
+            engine.static_diag = np.tile(self.static_diag, k)
+            engine.excitations = np.tile(self.excitations, k)
+            engine._direct_sums = {}
+            self._direct_sums[k] = engine
+        return engine
+
     def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, observer=None, observer_stride=1):
-        tau = pulse.tau
-        if tau == 0.0:
-            return amplitudes.astype(complex, copy=True)
-        n_steps, h = step_grid(tau, dt)
+        """Amplitudes after `pulse`, from the start `amplitudes`.
+
+        `pulse` may be a sequence of K pulses instead.  They must share one
+        step grid (the same number of steps of the same length; anything
+        else raises ValidationError) and run as one evolution of the direct
+        sum of K copies of H, each copy driven by its own pulse's controls:
+        one Krylov step per dt advances all K states from the one start
+        `amplitudes`.  The result, like the observer's argument, is then a
+        (K, dim) array.  The Krylov tolerance applies to the stacked
+        vector's norm, sqrt(K) for a unit start, so a step's error in any
+        one row is at most KRYLOV_TOL * sqrt(K).  A one-pulse sequence takes
+        the single-pulse path, bit for bit.
+        """
+        stack = isinstance(pulse, Sequence)
+        pulses = list(pulse) if stack else [pulse]
+        if not pulses:
+            raise ValidationError("need at least one pulse")
+        k, dim = len(pulses), self.space.dim
+        shape = (k, dim) if stack else (dim,)
+        amps = np.tile(np.asarray(amplitudes, dtype=complex), k)
+        grids = {None if p.tau == 0.0 else step_grid(p.tau, dt) for p in pulses}
+        if len(grids) > 1:
+            raise ValidationError(
+                "stacked pulses must share one step grid; got durations "
+                f"{sorted({p.tau for p in pulses})} at dt={dt}"
+            )
+        grid = grids.pop()
+        if grid is None:
+            return amps.reshape(shape)
+        n_steps, h = grid
         # Read once per run, outside the step loop.
         tol, max_dim = KRYLOV_TOL, KRYLOV_MAX_DIM
-        omegas, deltas = pulse.sample((np.arange(n_steps) + 0.5) * h)
-        omegas, deltas = omegas.tolist(), deltas.tolist()
-        amps = amplitudes.astype(complex, copy=True)
+        samples = [p.sample((np.arange(n_steps) + 0.5) * h) for p in pulses]
+        if k == 1:
+            engine = self
+            controls = zip(samples[0][0].tolist(), samples[0][1].tolist())
+        else:
+            engine = self._direct_sum(k)
+            omegas = np.array([omega for omega, _ in samples]).T
+            deltas = np.array([delta for _, delta in samples]).T
+            controls = (
+                (np.repeat(omega, dim), np.repeat(delta, dim))
+                for omega, delta in zip(omegas, deltas)
+            )
         start_check = 3
-        for step in range(n_steps):
-            matvec = self.matvec_at(omegas[step], deltas[step])
+        for step, (omega, delta) in enumerate(controls):
+            matvec = engine.matvec_at(omega, delta)
             try:
                 amps, m = krylov_expm_apply(
                     matvec, amps, h, tol=tol, max_dim=max_dim, start_check=start_check,
@@ -270,8 +326,8 @@ class SampledEvolution:
                 raise PropagationError(str(exc), step_index=step) from None
             start_check = max(3, m - 1)
             if observer is not None and (step + 1) % observer_stride == 0:
-                observer((step + 1) * h, amps)
-        return amps
+                observer((step + 1) * h, amps.reshape(shape))
+        return amps.reshape(shape)
 
 
 def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, coupling=None):

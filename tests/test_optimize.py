@@ -52,6 +52,41 @@ def sim4(chain4):
     return PreparationSimulator(terms, shifts, dt=0.0025)
 
 
+class _CountingSimulator(PreparationSimulator):
+    """Counts the pulses it propagates."""
+
+    propagated = 0
+
+    def evaluate(self, pulse, fom):
+        self.propagated += len(pulse) if isinstance(pulse, list) else 1
+        return super().evaluate(pulse, fom)
+
+
+class _FailingFom:
+    """The GHZ fidelity for `limit` calls, then a failure."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.calls = 0
+
+    def evaluate(self, state):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise ValueError("figure of merit broke")
+        return FigureOfMerit().evaluate(state)
+
+
+@pytest.fixture(scope="module")
+def dcrab8():
+    """The seeded 2 x 8 dCRAB search at N = 8, on a counting simulator."""
+    basis = enumerate_basis(ChainGeometry(8))
+    shifts = LocalShifts.edges(8, -4.5)
+    simulator = _CountingSimulator(build_terms(basis), shifts, dt=0.001)
+    guess = ramp_pulse(RampSpec(kind="linear", total_time_us=1.1))
+    cfg = DcrabConfig(super_iterations=2, max_evaluations=8, fom_tolerance=1e-12, seed=7)
+    return basis, shifts, simulator, optimize_dcrab(guess, FigureOfMerit(), cfg, simulator)
+
+
 @pytest.fixture(scope="module")
 def dcrab4(chain4, sim4):
     guess = standard_guess_pulse(0.5)
@@ -114,11 +149,16 @@ class TestFigureOfMerit:
             FigureOfMerit("state_overlap")
 
 
+def _bowl(target):
+    """Squared distance to `target`, scored for a stack of points."""
+    return lambda points: np.sum((points - target) ** 2, axis=1)
+
+
 class TestNelderMead:
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -0.7])
         result = nelder_mead(
-            lambda x: float(np.sum((x - target) ** 2)),
+            _bowl(target),
             np.array([2.0, 2.0]),
             scale=1.0,
             max_evaluations=200,
@@ -130,7 +170,7 @@ class TestNelderMead:
     def test_reports_best_of_history(self):
         target = np.array([1.0, 1.0, -2.0])
         result = nelder_mead(
-            lambda x: float(np.sum((x - target) ** 2)),
+            _bowl(target),
             np.zeros(3),
             max_evaluations=120,
             tolerance=1e-16,
@@ -141,32 +181,78 @@ class TestNelderMead:
     def test_budget_is_hard(self):
         calls = []
 
-        def objective(x):
-            calls.append(1)
-            return float(np.sum(x**2))
+        def objective(points):
+            calls.append(len(points))
+            return np.sum(points**2, axis=1)
 
         result = nelder_mead(objective, np.array([3.0, 4.0]), max_evaluations=17,
                              tolerance=0.0)
-        assert len(calls) == 17
+        assert sum(calls) == 17
         assert result.n_evaluations == 17
+        assert not result.converged
+
+    def test_starting_simplex_is_one_call(self):
+        calls = []
+
+        def objective(points):
+            calls.append(points.copy())
+            return np.sum(points**2, axis=1)
+
+        nelder_mead(objective, np.array([1.0, 2.0, 3.0]), max_evaluations=40)
+        assert np.array_equal(calls[0], [[1, 2, 3], [2, 2, 3], [1, 3, 3], [1, 2, 4]])
+
+    def test_budget_smaller_than_the_simplex(self):
+        calls = []
+        target = np.array([0.0, 1.0, 0.0, 0.0])
+
+        def objective(points):
+            calls.append(len(points))
+            return _bowl(target)(points)
+
+        result = nelder_mead(objective, np.zeros(4), max_evaluations=3)
+        assert calls == [3]
+        assert result.n_evaluations == 3
+        assert np.array_equal(result.x, target)
+        assert result.value == 0.0
+        assert not result.converged
+
+    def test_shrink_cut_by_the_budget(self):
+        # 0 at the start point, 1 at the two axis vertices and 5 elsewhere:
+        # reflection and contraction both fail, so the simplex shrinks.
+        calls = []
+
+        def objective(points):
+            calls.append(points.copy())
+            return np.array([
+                0.0 if not x.any() else 1.0 if sorted(x) == [0.0, 1.0] else 5.0
+                for x in points
+            ])
+
+        result = nelder_mead(objective, np.zeros(2), max_evaluations=6, tolerance=0.0)
+        assert [len(c) for c in calls] == [3, 1, 1, 1]
+        assert np.array_equal(calls[-1], [[0.5, 0.0]])
+        assert result.n_evaluations == 6
+        assert result.value == 0.0 and not result.x.any()
         assert not result.converged
 
     def test_tolerance_stops_early(self):
         result = nelder_mead(
-            lambda x: float(np.sum(x**2)), np.array([1.0, 1.0]),
+            _bowl(np.zeros(2)), np.array([1.0, 1.0]),
             max_evaluations=200, tolerance=1e-2,
         )
         assert result.converged
         assert result.n_evaluations < 200
 
     def test_validation(self):
-        objective = lambda x: float(np.sum(x**2))
+        objective = _bowl(0.0)
         with pytest.raises(ValidationError):
             nelder_mead(objective, np.array([]))
         with pytest.raises(ValidationError):
             nelder_mead(objective, np.array([1.0]), scale=0.0)
         with pytest.raises(ValidationError):
             nelder_mead(objective, np.array([1.0]), max_evaluations=0)
+        with pytest.raises(ValidationError):
+            nelder_mead(lambda points: 0.0, np.array([1.0]))
 
 
 class TestDcrabConfig:
@@ -268,13 +354,28 @@ class TestDcrab:
         digest = report.rsplit("final_pulse_sha256: ", 1)[1].strip()
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
-    def test_n8_search_matches_dense_oracle(self):
-        basis = enumerate_basis(ChainGeometry(8))
-        shifts = LocalShifts.edges(8, -4.5)
-        simulator = PreparationSimulator(build_terms(basis), shifts, dt=0.001)
-        guess = ramp_pulse(RampSpec(kind="linear", total_time_us=1.1))
-        cfg = DcrabConfig(super_iterations=2, max_evaluations=8, fom_tolerance=1e-12, seed=7)
-        result = optimize_dcrab(guess, FigureOfMerit(), cfg, simulator)
+    def test_failure_inside_a_stacked_simplex(self, sim4):
+        # The initial pulse and step 1's five evaluations (the incumbent
+        # vertex reused, four stacked, one reflection) score; step 2's
+        # stack fails, and its batch starts at evaluation 1 + 6.
+        fom = _FailingFom(limit=6)
+        cfg = DcrabConfig(super_iterations=2, max_evaluations=6, seed=3)
+        with pytest.raises(OptimizationError) as excinfo:
+            optimize_dcrab(standard_guess_pulse(0.5), fom, cfg, sim4)
+        assert excinfo.value.super_iteration == 2
+        assert excinfo.value.evaluation_index == 7
+        assert "super-iteration 2, evaluation 7" in str(excinfo.value)
+        assert fom.calls == 7
+
+    def test_incumbent_vertex_is_not_rerun(self, dcrab8):
+        _, _, simulator, result = dcrab8
+        assert result.n_evaluations == 17
+        assert simulator.propagated == 15
+        assert result.trace[1].value == result.trace[0].value
+        assert result.trace[1].super_iteration == 1
+
+    def test_n8_search_matches_dense_oracle(self, dcrab8):
+        basis, shifts, _, result = dcrab8
         assert result.n_evaluations == 17
         psi = dense_evolve(basis, result.pulse, shifts.as_array(),
                            ground_state(basis).amplitudes, dt=0.001)

@@ -245,6 +245,56 @@ def test_run_samples_controls_once(monkeypatch):
     assert calls == [1100]
 
 
+def test_stacked_run_matches_single_runs_in_the_even_sector():
+    basis = enumerate_basis(ChainGeometry(8))
+    terms = build_terms(basis)
+    even = symmetry_sector(basis, "even")
+    engine = SampledEvolution(even, terms, LocalShifts.edges(8, -4.5))
+    start = even.to_sector(ground_state(basis).amplitudes)
+    pulses = [_random_crab_pulse(0.6, seed=s) for s in range(4)]
+    stacked = engine.run(start, pulses, dt=0.001)
+    assert stacked.shape == (4, even.dim)
+    for row, pulse in zip(stacked, pulses):
+        assert np.abs(row - engine.run(start, pulse, dt=0.001)).max() <= 1e-10
+
+
+def test_stacked_run_matches_single_runs_on_a_full_basis():
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    shifts = LocalShifts((-6.0, -1.5, 0.0, 0.0, 0.0, -4.5))
+    assert not terms.static_is_reflection_symmetric(shifts)
+    engine = SampledEvolution(basis, terms, shifts)
+    rng = np.random.default_rng(5)
+    start = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    start /= np.linalg.norm(start)
+    pulses = [_random_crab_pulse(0.5, seed=s) for s in (11, 12, 13)]
+    stacked = engine.run(start, pulses, dt=0.002)
+    for row, pulse in zip(stacked, pulses):
+        assert np.abs(row - engine.run(start, pulse, dt=0.002)).max() <= 1e-10
+
+
+def test_one_pulse_stack_is_the_single_run_bit_for_bit():
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms, LocalShifts.preparation_default(6))
+    start = ground_state(basis).amplitudes
+    pulse = _random_crab_pulse(0.4, seed=8)
+    stacked = engine.run(start, [pulse], dt=0.001)
+    assert stacked.shape == (1, basis.dim)
+    assert np.array_equal(stacked[0], engine.run(start, pulse, dt=0.001))
+
+
+def test_stack_refuses_pulses_of_unequal_duration():
+    basis = enumerate_basis(ChainGeometry(4))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms)
+    start = ground_state(basis).amplitudes
+    with pytest.raises(ValidationError):
+        engine.run(start, [standard_guess_pulse(0.5), standard_guess_pulse(0.6)])
+    with pytest.raises(ValidationError):
+        engine.run(start, [standard_guess_pulse(0.5), constant_pulse(0.0, 5.0)])
+
+
 def test_diagonal_evolution_exact_phases():
     basis = enumerate_basis(ChainGeometry(6))
     gen = staggered_field_generator(basis, 3.8)
