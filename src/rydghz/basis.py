@@ -182,11 +182,17 @@ class Basis:
         a_val, abar_val = ghz_component_values(self.n_sites)
         return self.index_of(a_val), self.index_of(abar_val)
 
-    def symmetric_under_reflection(self, diag):
-        """Whether a diagonal over this basis is invariant under the chain
-        reflection, entry by entry within REFLECTION_TOL."""
-        diag = np.asarray(diag)
-        return bool(np.allclose(diag[self.reflection], diag, rtol=0.0, atol=REFLECTION_TOL))
+    def symmetric_under_reflection(self, x):
+        """Whether a diagonal or a sparse operator over this basis is invariant
+        under the chain reflection R (R x R = x for an operator), entry by
+        entry within REFLECTION_TOL."""
+        r = self.reflection
+        if sparse.issparse(x):
+            op = sparse.csr_matrix(x)
+            diff = op[r][:, r] - op
+            return not diff.nnz or bool(abs(diff).max() <= REFLECTION_TOL)
+        x = np.asarray(x)
+        return bool(np.allclose(x[r], x, rtol=0.0, atol=REFLECTION_TOL))
 
     def __repr__(self):
         g = self.geometry
@@ -227,31 +233,19 @@ class SymmetrizedBasis:
         self.sector = sector
         refl = basis.reflection
         idx = np.arange(basis.dim)
-        fixed = idx[refl == idx]
-        pair_lo = idx[idx < refl]
-        if sector == "even":
-            reps = np.sort(np.concatenate([fixed, pair_lo]))
-        else:
-            reps = np.sort(pair_lo)
-        self.representatives = reps
-        self.partners = refl[reps]
-        self.dim = reps.size
-        rows = []
-        cols = []
-        vals = []
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        keep = idx <= refl if sector == "even" else idx < refl
+        self.representatives = idx[keep]
+        self.partners = refl[keep]
+        self.dim = self.representatives.size
+        cols = np.arange(self.dim)
+        paired = self.representatives != self.partners
+        vals = np.where(paired, 1.0 / np.sqrt(2.0), 1.0)
         sign = 1.0 if sector == "even" else -1.0
-        for col, (i, j) in enumerate(zip(self.representatives, self.partners)):
-            if i == j:
-                rows.append(i)
-                cols.append(col)
-                vals.append(1.0)
-            else:
-                rows.extend((i, j))
-                cols.extend((col, col))
-                vals.extend((inv_sqrt2, sign * inv_sqrt2))
         self.mapping = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(basis.dim, self.dim)
+            (np.concatenate([vals, sign * vals[paired]]),
+             (np.concatenate([self.representatives, self.partners[paired]]),
+              np.concatenate([cols, cols[paired]]))),
+            shape=(basis.dim, self.dim),
         )
 
     def to_sector(self, amplitudes):
@@ -261,6 +255,10 @@ class SymmetrizedBasis:
         return self.mapping @ amplitudes
 
     def reduce_operator(self, op):
+        if not self.basis.symmetric_under_reflection(op):
+            raise ValidationError(
+                "operator does not commute with the reflection; cannot restrict to a sector"
+            )
         return sparse.csr_matrix(self.mapping.T @ op @ self.mapping)
 
     def reduce_diagonal(self, diag):

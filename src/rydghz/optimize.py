@@ -18,7 +18,6 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .basis import symmetry_sector
 from .controls import (
     DELTA_BOUNDS_DEFAULT_MHZ,
     standard_guess_pulse,
@@ -36,6 +35,7 @@ from .propagate import (
     SampledEvolution,
     StateVector,
     drive_matvec,
+    evolution_space,
     ground_state,
     lowest_spectrum,
 )
@@ -241,27 +241,13 @@ def nelder_mead(objective, x0, scale=1.0, max_evaluations=200, tolerance=1e-5):
     )
 
 
-def _preparation_engine(terms, shifts):
-    """SampledEvolution for an all-ground preparation under terms and shifts.
-
-    It runs in the even reflection sector exactly when the static diagonal
-    is reflection symmetric, since only then does the dynamics stay inside
-    it; otherwise it runs on the full basis.
-    """
-    space = terms.basis
-    if terms.static_is_reflection_symmetric(shifts):
-        space = symmetry_sector(space, "even")
-    return SampledEvolution(space, terms, shifts)
-
-
 class PreparationSimulator:
     """Reusable all-ground preparation propagator for trial pulses.
 
     `engine` holds H(omega, delta) once, so repeated figure-of-merit
     evaluations only pay for the stepping and spectra along a pulse read
-    the same operator.  It runs in the even reflection sector, which holds
-    the all-ground start and the staggered target, when the full static
-    diagonal is reflection symmetric, and on the full basis otherwise.
+    the same operator.  It runs in the space evolution_space picks for the
+    all-ground start (the even sector also holds the staggered target).
     """
 
     def __init__(self, terms, shifts=None, dt=DEFAULT_DT_US):
@@ -269,9 +255,10 @@ class PreparationSimulator:
             raise ValidationError(f"dt must be positive, got {dt}")
         self.terms = terms
         self.dt = float(dt)
-        self.engine = _preparation_engine(terms, shifts)
-        self.space = self.engine.space
         start = ground_state(terms.basis).amplitudes
+        self.engine = SampledEvolution(evolution_space(terms, shifts, None, start),
+                                       terms, shifts)
+        self.space = self.engine.space
         self.initial = start if self.space is terms.basis else self.space.to_sector(start)
 
     @property
@@ -557,11 +544,11 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
     (Kolodrubetz, Sels, Mehta & Polkovnikov, Phys. Rep. 697, 1 (2017)).
     Each grid point takes the ground pair from lowest_spectrum and x from
     one MINRES solve (Paige & Saunders, SIAM J. Numer. Anal. 12, 617
-    (1975)) on the preparation engine's operator, so with a
-    reflection-symmetric setup it works in the even sector, where the drive
-    acts.  dH/ds follows analytically from the ramp parametrization.  A
-    degenerate ground state raises ScheduleSingularityError, because the
-    weight diverges at a true crossing.
+    (1975)) on the operator of the space evolution_space picks for the
+    all-ground start.  dH/ds follows analytically from the ramp
+    parametrization.  A degenerate ground state raises
+    ScheduleSingularityError, because the weight diverges at a true
+    crossing.
 
     Returns (s_grid, weights).
     """
@@ -569,7 +556,8 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
         s_grid = np.linspace(0.0, 1.0, spec.grid_points)
     else:
         s_grid = np.asarray(s_grid, dtype=float)
-    engine = _preparation_engine(terms, shifts)
+    start = ground_state(terms.basis).amplitudes
+    engine = SampledEvolution(evolution_space(terms, shifts, None, start), terms, shifts)
     coupling = engine.solver_coupling
     delta_slope_rad = mhz_to_angular(spec.delta_slope_mhz())
     weights = np.empty(s_grid.size)

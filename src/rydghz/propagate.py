@@ -27,7 +27,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .basis import SymmetrizedBasis
+from .basis import SymmetrizedBasis, symmetry_sector
 from .errors import PropagationError, SpectralError, ValidationError
 
 DEFAULT_DT_US = 0.001
@@ -218,8 +218,8 @@ class SampledEvolution:
     skip the setup cost; lowest_spectrum reads the same pieces.  The
     coupling is a CSR matrix with complex values (its index arrays shared
     with the one given), so no product converts it.  Works on a full Basis
-    or, when every diagonal term is reflection symmetric, on a
-    SymmetrizedBasis: the one place the pieces are reduced into a sector.
+    or, when the coupling and every diagonal term are reflection symmetric,
+    on a SymmetrizedBasis: the one place the pieces are reduced into a sector.
     K pulses that share a step grid run as one evolution of the direct sum
     of K copies (see run).
     """
@@ -330,10 +330,36 @@ class SampledEvolution:
         return amps.reshape(shape)
 
 
+def evolution_space(terms, shifts, coupling, amplitudes):
+    """The even reflection sector if a run from the full-basis `amplitudes`
+    under terms, shifts and coupling (terms.coupling when None) stays in it,
+    else terms.basis.  It stays when the static diagonal is reflection
+    symmetric, the coupling commutes with the reflection R, and
+    |R psi - psi| <= 1e-12, which bounds what the sector run drops."""
+    basis = terms.basis
+    if (np.linalg.norm(amplitudes[basis.reflection] - amplitudes) <= 1e-12
+            and terms.static_is_reflection_symmetric(shifts)
+            and basis.symmetric_under_reflection(
+                terms.coupling if coupling is None else coupling)):
+        return symmetry_sector(basis, "even")
+    return basis
+
+
 def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, coupling=None):
-    """Propagate `psi` through `pulse`; returns a new StateVector."""
-    engine = SampledEvolution(psi.space, terms, shifts, coupling=coupling)
-    return StateVector(psi.space, engine.run(psi.amplitudes, pulse, dt=dt))
+    """Propagate `psi` through `pulse`; returns a new StateVector in psi's space.
+
+    A full-basis state runs in the space evolution_space picks (a pulse of
+    zero duration leaves it bit for bit); a sector state runs in its
+    sector, which refuses terms that would leave it.
+    """
+    space = psi.space
+    if space is terms.basis and pulse.tau > 0:
+        space = evolution_space(terms, shifts, coupling, psi.amplitudes)
+    engine = SampledEvolution(space, terms, shifts, coupling=coupling)
+    if space is psi.space:
+        return StateVector(space, engine.run(psi.amplitudes, pulse, dt=dt))
+    amps = engine.run(space.to_sector(psi.amplitudes), pulse, dt=dt)
+    return StateVector(psi.space, space.from_sector(amps))
 
 
 def evolve_under_diagonal(psi, generator_diag, duration):

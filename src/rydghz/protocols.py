@@ -30,6 +30,7 @@ from .propagate import (
     SampledEvolution,
     StateVector,
     drive_matvec,
+    evolution_space,
     evolve,
     ground_state,
     step_grid,
@@ -268,9 +269,9 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     equals Re q(t) with q(t) = <U Abar|P|U A>.  The curve is read at the
     round(t_max/dt) grid times h*k of step_grid by Krylov dense output:
     one Lanczos basis serves every grid time it reaches, with no stored
-    history.  When the static diagonal is reflection symmetric (the rule
-    the parity scan uses), the reflection R commutes with H and P, so
-    U|Abar> = R U|A> and only |A> is evolved; otherwise both orderings are.
+    history.  When the reflection R pairs the two orderings (_mirror, asked
+    with |A> + |Abar>, the rule the parity scan uses), U|Abar> = R U|A> and
+    only |A> is evolved; otherwise both orderings are.
     """
     basis = terms.basis
     if basis.n_sites % 2:
@@ -281,8 +282,7 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     ket, bra = np.zeros((2, basis.dim), dtype=complex)
     i_a, i_abar = basis.ghz_indices()
     ket[i_a] = bra[i_abar] = 1.0
-    mirror = basis.reflection if terms.static_is_reflection_symmetric() else None
-    q_curve = drive.overlap_curve(ket, bra, basis.parity, times, mirror)
+    q_curve = drive.overlap_curve(ket, bra, basis.parity, times, _mirror(terms, ket + bra))
     contrast_curve = q_curve.real
     best = int(np.argmax(contrast_curve))
     return UxCalibration(
@@ -464,37 +464,46 @@ def default_scan_times(n_sites, delta_p_mhz, n_times=None):
     return period * np.arange(n) / n
 
 
-def _rotated_components(state, generator, rotate, reflect):
-    """Readout images U psi_M of the state's staggered-magnetization parts.
+def _mirror(terms, amplitudes):
+    """R as an index array if evolution_space keeps the full-basis
+    `amplitudes` in the even sector of the readout of `terms`, else None:
+    then U R x = R U x for the readout U and every part x of the state."""
+    if evolution_space(terms, None, None, amplitudes) is terms.basis:
+        return None
+    return terms.basis.reflection
 
-    psi_M keeps the amplitudes with staggered magnetization M; only nonzero
-    parts are rotated, as the columns of one block through `rotate`
-    (block -> (output space, rotated block)).  With `reflect` and a
-    reflection-even state (|R psi - psi| <= 1e-12, which bounds the parity
-    error by about twice that), U psi_{-M} = R U psi_M, so only M >= 0 are
-    rotated.  Returns the output space, the images as columns, and the
-    probe rate (the generator value, rad/us) of each column.
+
+def _rotated_components(amplitudes, rates, rotate, mirror=None):
+    """Images U x_g of a state's parts x_g, where the diagonal `rates` is g.
+
+    Only nonzero parts are rotated, as the columns of one block through
+    `rotate` (block -> (output space, rotated block)).  With `mirror`
+    (_mirror), R maps x_g to x_{-g}, so U x_{-g} = R U x_g and only g >= 0
+    are rotated.  Returns the output space, the images as columns, and
+    each column's rate.
     """
-    basis = state.space
-    amps = state.amplitudes
-    m = basis.staggered_m
-    even = reflect and np.linalg.norm(amps[basis.reflection] - amps) <= 1e-12
-    values = np.unique(m[amps != 0])
+    values = np.unique(rates[amplitudes != 0])
     if values.size == 0:
         raise ValidationError("cannot scan the zero vector")
-    if even:
+    if mirror is not None:
         values = values[values >= 0]
-    masks = m[:, None] == values[None, :]
-    space, images = rotate(np.where(masks, amps[:, None], 0))
-    columns, rates = [], []
-    for k, value in enumerate(values):
-        rate = generator[masks[:, k]][0]
-        columns.append(images[:, k])
-        rates.append(rate)
-        if even and value > 0:
-            columns.append(images[space.reflection, k])
-            rates.append(-rate)
-    return space, np.column_stack(columns), np.asarray(rates)
+    masks = rates[:, None] == values[None, :]
+    space, images = rotate(np.where(masks, amplitudes[:, None], 0))
+    columns, column_rates = [], []
+    for image, value in zip(images.T, values):
+        columns.append(image)
+        column_rates.append(value)
+        if mirror is not None and value > 0:
+            columns.append(image[mirror])
+            column_rates.append(-value)
+    return space, np.column_stack(columns), np.asarray(column_rates)
+
+
+def _diagonal_expectation(images, weights, phases):
+    """<psi|diag(weights)|psi> for psi = images @ c at each row c of phases:
+    c^dag G c with G = images^dag diag(weights) images."""
+    gram = images.conj().T @ (weights[:, None] * images)
+    return np.einsum("tm,mk,tk->t", phases.conj(), gram, phases).real
 
 
 def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=None,
@@ -517,9 +526,9 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     columns, whatever the number of times); every time then costs small
     products: the rotated state is X c(T) and the exact parity is
     E(T) = c(T)^dag G c(T) with G = X^dag P X.  Shot modes sample from
-    X c(T).  When the state is reflection-even and the readout's static
-    diagonal is reflection symmetric, U psi_{-M} = R U psi_M, so only the
-    M >= 0 components are rotated (N/2+1 columns of one block).  Callable
+    X c(T).  When evolution_space keeps the state in the even sector of
+    the readout's terms, U psi_{-M} = R U psi_M, so only the M >= 0
+    components are rotated (N/2+1 columns of one block).  Callable
     readouts get no such shortcut and must be linear maps.  dt spaces the
     readout's Krylov stop times (see apply_ux).  Density-matrix scans, up
     to _DENSE_UNITARY_CUTOFF states, take U from one dense exponential.
@@ -582,13 +591,12 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
             parity_values[j] = float(np.sum(rho_t.T * p_rot).real)
         sigma = None
     else:
-        reflect = not callable(readout) and terms.static_is_reflection_symmetric()
-        space, x, rates = _rotated_components(state, generator, rotate, reflect)
+        mirror = None if callable(readout) else _mirror(terms, state.amplitudes)
+        space, x, rates = _rotated_components(state.amplitudes, generator, rotate, mirror)
         phases = np.exp(-1j * np.outer(times_us, rates))
         sigma = np.empty(times_us.size) if mode == "shots-raw" else None
         if mode == "exact":
-            gram = x.conj().T @ (space.parity[:, None] * x)
-            parity_values = np.einsum("tm,mk,tk->t", phases.conj(), gram, phases).real
+            parity_values = _diagonal_expectation(x, space.parity, phases)
         else:
             # Imported at call time: callers may rebind detection.infer_true_distribution.
             from .detection import DetectionModel
@@ -862,17 +870,23 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     excited) are reported; a second pi/2 rotation at variable phase then
     produces the parity fringe whose amplitude bounds the pair coherence.
 
-    Both rotations share one propagator U(0): the phase-phi edge drive is
-    D C(0) D^dag with D = exp(-i phi (n_1 + n_N)), which commutes with the
-    static diagonal, so U(phi) = D U(0) D^dag and, the edge parity being
-    diagonal too, each fringe point is the parity of U(0) D^dag psi (all
-    phases in one block).  dt also spaces U's Krylov stop times, as in
-    apply_ux: each of the 1 + len(phases) columns is walked alone.
+    The sweeps run through `evolve`, so an R-even state runs in the even
+    sector.  Both rotations share one propagator U(0): the phase-phi edge
+    drive is D C(0) D^dag with D = exp(-i phi (n_1 + n_N)), which commutes
+    with the static diagonal, so U(phi) = D U(0) D^dag, and each fringe
+    point is the edge parity S of U(0) D^dag x = Y c(phi) for the converted
+    state x: Y = [U(0) x_e] holds its parts with e edge excitations and
+    c_e = exp(i e phi), the parity scan's form with rate -e.  That is four
+    walks of U(0) whatever the number of phases; dt spaces their Krylov
+    stop times, as in apply_ux.
     """
     basis = terms.basis
     n = basis.n_sites
     if n < 4:
         raise ValidationError("edge distribution needs at least four sites")
+    if readout_duration_us is None:
+        readout_duration_us = 0.25 / readout_omega_mhz  # omega * t = pi/2
+    step_grid(readout_duration_us, dt)  # refuse a dt the rotations cannot take up front
     if initial_state is not None:
         psi = initial_state.in_full_basis()
         if pulse_forward is not None:
@@ -900,8 +914,6 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         phases = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     else:
         phases = np.asarray(phases, dtype=float)
-    if readout_duration_us is None:
-        readout_duration_us = 0.25 / readout_omega_mhz  # omega * t = pi/2
     drive = _ConstantDrive.resonant(basis, terms, readout_omega_mhz,
                                     drive_coupling(basis, sites=(1, n)))
     converted = drive.rotate(psi.amplitudes[:, None], readout_duration_us, dt)[:, 0]
@@ -911,10 +923,11 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     pop_edges = float(converted_probs[basis.index_of((1 << (n - 1)) | 1)])
     edge_excitations = bits[:, 0] + bits[:, -1]
     edge_parity_sign = np.where(edge_excitations % 2 == 0, 1.0, -1.0)
-    # U(phi) = D U(0) D^dag; the outer D drops out of the diagonal parity
-    rephased = np.exp(1j * np.outer(edge_excitations, phases)) * converted[:, None]
-    probed = drive.rotate(rephased, readout_duration_us, dt)
-    edge_parity = edge_parity_sign @ (np.abs(probed) ** 2)
+    _, images, rates = _rotated_components(
+        converted, -edge_excitations,
+        lambda block: (basis, drive.rotate(block, readout_duration_us, dt)))
+    edge_parity = _diagonal_expectation(images, edge_parity_sign,
+                                        np.exp(-1j * np.outer(phases, rates)))
     fringe_fit = _fit_cosine(phases, edge_parity, omega=2.0)
     pattern_population = pop_ground + pop_edges
     return BellDistributionResult(

@@ -16,6 +16,7 @@ from rydghz.propagate import (
     SampledEvolution,
     StateVector,
     basis_state,
+    evolution_space,
     evolve,
     evolve_under_diagonal,
     ghz_state,
@@ -24,6 +25,7 @@ from rydghz.propagate import (
     krylov_expm_apply,
     lowest_spectrum,
 )
+from rydghz.protocols import apply_ux
 from rydghz.units import TWO_PI, mhz_to_angular
 
 from _oracles import classical_diagonal_energies, dense_evolve
@@ -330,6 +332,82 @@ def test_sector_rejects_asymmetric_shifts():
     with pytest.raises(ValidationError):
         SampledEvolution(even, terms, LocalShifts.staggered(6, 3.8))
     assert psi0.space is even
+
+
+def test_sector_refuses_a_reflection_breaking_coupling():
+    # A drive on site 1 alone does not commute with the reflection, so no
+    # sector run under it may stand in for the full-basis one.
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    even = symmetry_sector(basis, "even")
+    psi0 = StateVector(even, even.to_sector(ground_state(basis).amplitudes))
+    coupling = drive_coupling(basis, sites=(1,))
+    with pytest.raises(ValidationError, match="reflection"):
+        even.reduce_operator(coupling)
+    with pytest.raises(ValidationError, match="reflection"):
+        evolve(psi0, standard_guess_pulse(0.3), terms, coupling=coupling)
+    with pytest.raises(ValidationError, match="reflection"):
+        apply_ux(psi0, terms, 0.05, coupling=coupling)
+    edges = drive_coupling(basis, sites=(1, 6))
+    assert even.reduce_operator(edges).shape == (even.dim, even.dim)
+
+
+def _even_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    amps = amps + amps[basis.reflection]
+    return amps / np.linalg.norm(amps)
+
+
+class TestEvolutionSpace:
+    """The one rule that decides whether a run may use the reflection."""
+
+    @pytest.fixture
+    def run_spaces(self, monkeypatch):
+        spaces = []
+        run = SampledEvolution.run
+
+        def recording(self, *args, **kwargs):
+            spaces.append(self.space)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampledEvolution, "run", recording)
+        return spaces
+
+    def test_even_state_runs_in_the_even_sector(self, run_spaces):
+        basis = enumerate_basis(ChainGeometry(8))
+        terms = build_terms(basis)
+        shifts = LocalShifts.preparation_default(8)
+        amps = _even_state(basis, seed=8)
+        assert evolution_space(terms, shifts, None, amps).sector == "even"
+        pulse = _random_crab_pulse(0.4, seed=8)
+        out = evolve(StateVector(basis, amps), pulse, terms, shifts, dt=0.002)
+        assert [space.dim for space in run_spaces] == [symmetry_sector(basis, "even").dim]
+        assert out.space is basis
+        forced = SampledEvolution(basis, terms, shifts).run(amps, pulse, dt=0.002)
+        assert np.abs(out.amplitudes - forced).max() <= 1e-12
+
+    def test_asymmetric_state_shifts_or_coupling_stay_on_the_full_basis(self, run_spaces):
+        basis = enumerate_basis(ChainGeometry(6))
+        terms = build_terms(basis)
+        symmetric = LocalShifts.preparation_default(6)
+        breaking = LocalShifts((-6.0, -1.5, 0.0, 0.0, 0.0, -4.5))
+        even = _even_state(basis, seed=6)
+        rng = np.random.default_rng(7)
+        uneven = even + 1e-9 * rng.normal(size=basis.dim)
+        site1 = drive_coupling(basis, sites=(1,))
+        assert evolution_space(terms, symmetric, None, even).sector == "even"
+        assert evolution_space(terms, symmetric, None, even + 1e-14).sector == "even"
+        pulse = _random_crab_pulse(0.3, seed=6)
+        for amps, shifts, coupling in ((uneven, symmetric, None), (even, breaking, None),
+                                       (even, symmetric, site1)):
+            assert evolution_space(terms, shifts, coupling, amps) is basis
+            run_spaces.clear()
+            out = evolve(StateVector(basis, amps), pulse, terms, shifts, dt=0.002,
+                         coupling=coupling)
+            assert run_spaces == [basis]
+            forced = SampledEvolution(basis, terms, shifts, coupling=coupling)
+            assert np.array_equal(out.amplitudes, forced.run(amps, pulse, dt=0.002))
 
 
 def test_ghz_state_and_basis_state():

@@ -23,6 +23,7 @@ from rydghz.propagate import (
     evolve,
     evolve_under_diagonal,
     ghz_state,
+    ground_state,
 )
 from rydghz.protocols import (
     CoherenceBound,
@@ -692,7 +693,29 @@ class TestConstantDriveWalk:
         phases = np.array([0.4, 1.3, 2.9])
         bell_distribution_protocol(None, None, terms, initial_state=ghz_state(basis),
                                    phases=phases)
-        assert 0 < len(calls) <= (1 + phases.size) * 2 * propagate.KRYLOV_MAX_DIM
+        assert 0 < len(calls) <= 4 * 2 * propagate.KRYLOV_MAX_DIM
+
+    def test_fringe_rotations_do_not_grow_with_the_phases(self, chain16, monkeypatch):
+        # The conversion and at most three edge-excitation parts are walked,
+        # whatever the number of fringe phases.
+        basis, terms = chain16
+        columns = []
+        rotate = protocols._ConstantDrive.rotate
+
+        def counting(self, block, *args, **kwargs):
+            columns.append(block.shape[1])
+            return rotate(self, block, *args, **kwargs)
+
+        monkeypatch.setattr(protocols._ConstantDrive, "rotate", counting)
+        counts = []
+        for n_phases in (3, 48):
+            columns.clear()
+            bell_distribution_protocol(
+                None, None, terms, initial_state=ghz_state(basis),
+                phases=np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False))
+            counts.append(sum(columns))
+        assert counts[0] <= 4
+        assert counts[0] == counts[1]
 
     def test_resonant_drive_matvec_is_the_engines(self, chain16, monkeypatch):
         # Readout and Bell rotations take their matvec from
@@ -894,6 +917,45 @@ class TestBellDistribution:
             coupling = drive_coupling(basis, sites=(1, n), phase=phi)
             probed = evolve(out.state_converted, pulse, terms, coupling=coupling)
             assert value == pytest.approx(sign @ probed.populations(), abs=1e-10)
+
+    def test_forward_pulse_matches_full_basis_sweeps(self):
+        # The sweeps of an even state run in the even sector; the outputs
+        # match sweeps forced onto the full basis and a fringe that rotates
+        # every rephased copy of the converted state.
+        n = 12
+        basis = enumerate_basis(ChainGeometry(n))
+        terms = build_terms(basis)
+        forward = ramp_pulse(RampSpec(kind="linear", total_time_us=0.6))
+        reverse = standard_guess_pulse(0.6, delta_start_mhz=20.0, delta_stop_mhz=-20.0)
+        phases = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        out = bell_distribution_protocol(forward, reverse, terms, phases=phases, dt=0.002)
+
+        start = ground_state(basis).amplitudes
+        prepared = SampledEvolution(basis, terms, LocalShifts.preparation_default(n)).run(
+            start, forward, dt=0.002)
+        swept = SampledEvolution(basis, terms, LocalShifts.edge_isolation(n)).run(
+            prepared, reverse, dt=0.002)
+        assert out.state_after_sweep.space is basis
+        assert np.abs(out.state_after_sweep.amplitudes - swept).max() <= 1e-12
+        edges = drive_coupling(basis, sites=(1, n))
+        converted = apply_ux(StateVector(basis, swept), terms, 0.05, dt=0.002,
+                             coupling=edges).amplitudes
+        assert np.abs(out.state_converted.amplitudes - converted).max() <= 1e-12
+        bits = basis.bits_matrix()
+        excitations = bits[:, 0] + bits[:, -1]
+        sign = np.where(excitations % 2 == 0, 1.0, -1.0)
+        fringe = np.array([
+            sign @ np.abs(apply_ux(StateVector(basis, np.exp(1j * excitations * phi) * converted),
+                                   terms, 0.05, dt=0.002, coupling=edges).amplitudes) ** 2
+            for phi in phases
+        ])
+        assert np.abs(out.edge_parity - fringe).max() <= 1e-12
+        fit = protocols._fit_cosine(phases, fringe, omega=2.0)
+        assert abs(out.fringe_fit.amplitude - fit.amplitude) <= 1e-12
+        assert abs(out.fringe_fit.phase - fit.phase) <= 1e-12
+        pattern = np.abs(converted[basis.index_of(0)]) ** 2 + np.abs(
+            converted[basis.index_of((1 << (n - 1)) | 1)]) ** 2
+        assert abs(out.fidelity_bound - (pattern + fit.amplitude) / 2.0) <= 1e-12
 
     @pytest.mark.parametrize("n_sites", [8, 12])
     def test_no_dense_exponential_per_protocol(self, n_sites, monkeypatch):
