@@ -15,7 +15,8 @@ from scipy import sparse
 
 from .errors import CapacityError, ValidationError
 
-DEFAULT_MAX_CONFIGS = 4_000_000
+# Largest basis enumerate_basis builds.
+MAX_CONFIGS = 4_000_000
 # Largest difference between reflected entries of a diagonal that still
 # counts as reflection symmetric.
 REFLECTION_TOL = 1e-9
@@ -202,16 +203,16 @@ class Basis:
         )
 
 
-def enumerate_basis(geometry, max_configs=DEFAULT_MAX_CONFIGS):
+def enumerate_basis(geometry):
     """Enumerate the truncated basis for `geometry`, ascending by value.
 
     Counts first by transfer matrix and raises CapacityError before
-    allocating anything when the basis would exceed `max_configs`.
+    allocating anything when the basis would exceed MAX_CONFIGS.
     """
     size = count_configs(geometry.n_sites, geometry.max_adjacent_pairs)
-    if size > max_configs:
+    if size > MAX_CONFIGS:
         raise CapacityError(
-            f"basis of {size} configurations exceeds the cap of {max_configs}"
+            f"basis of {size} configurations exceeds the cap of {MAX_CONFIGS}"
         )
     values = _enumerate_values(geometry.n_sites, geometry.max_adjacent_pairs)
     return Basis(geometry, values)

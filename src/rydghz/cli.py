@@ -248,6 +248,14 @@ def cmd_evolve(ctx, args):
     return EXIT_OK
 
 
+def _target_population(inferred, boot, groups):
+    """Inferred population summed over `groups`, and its bootstrap sigma
+    (the group sigmas combined in quadrature; 0 when the spread is undefined)."""
+    population = float(sum(inferred.distribution[g] for g in groups))
+    sigma = float(math.hypot(*(boot.sigma[g] for g in groups))) if boot.sigma_defined else 0.0
+    return population, sigma
+
+
 def cmd_parity_scan(ctx, args):
     from .detection import (
         DetectionModel,
@@ -300,9 +308,8 @@ def cmd_parity_scan(ctx, args):
         inferred = infer_true_distribution(observed, grouping.confusion(model))
         boot = bootstrap_uncertainty(shots, grouping, model=model,
                                      n_resamples=args.bootstrap, seed=ctx.seed + 2)
-        pair = (grouping.target_group_index(), grouping.mirror_group_index())
-        population = float(sum(inferred.distribution[g] for g in pair))
-        sigma = float(math.hypot(*(boot.sigma[g] for g in pair))) if boot.sigma_defined else 0.0
+        population, sigma = _target_population(
+            inferred, boot, (grouping.target_group_index(), grouping.mirror_group_index()))
         fidelity = population / 2.0 + sampled_bound.bound
         report += [
             ("n_shots", args.shots),
@@ -375,10 +382,8 @@ def cmd_infer(ctx, args):
     )
     ctx.emit_text("infer_table.csv", table.to_text())
 
-    population = float(sum(inferred.distribution[g] for g in target_groups))
+    population, sigma = _target_population(inferred, boot, target_groups)
     raw_population = float(sum(observed[g] for g in target_groups))
-    sigma = (float(math.hypot(*(boot.sigma[g] for g in target_groups)))
-             if boot.sigma_defined else 0.0)
     ctx.emit_text("infer_report.txt", _report_text("infer", [
         ("n_sites", shots.n_sites),
         ("n_shots", shots.n_shots),

@@ -236,7 +236,6 @@ def standard_guess_pulse(
     delta_stop_mhz=20.0,
     omega_max_mhz=OMEGA_MAX_DEFAULT_MHZ,
     delta_bounds=DELTA_BOUNDS_DEFAULT_MHZ,
-    seed=None,
 ):
     """Linear detuning sweep with the smooth-plateau drive envelope."""
     return Pulse(
@@ -245,7 +244,6 @@ def standard_guess_pulse(
         guess_delta=Waveform("linear", {"start": delta_start_mhz, "stop": delta_stop_mhz}),
         omega_bounds=(0.0, omega_max_mhz),
         delta_bounds=delta_bounds,
-        seed=seed,
     )
 
 

@@ -23,6 +23,10 @@ P10_UNCERTAINTY_DEFAULT = 0.0001
 P01_UNCERTAINTY_DEFAULT = 0.0042
 # A bound group whose KKT multiplier is below -KKT_TOL is released.
 KKT_TOL = 1e-10
+# The active-set inference gives up after this many iterations per group,
+# plus a floor: 10 n + 100 for n groups.
+INFERENCE_ITERATIONS_PER_GROUP = 10
+INFERENCE_ITERATIONS_FLOOR = 100
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class ShotSet:
         return cls(n_sites, np.asarray(rows, dtype=np.uint8), metadata)
 
 
-def sample_shots(psi, n_shots, model=None, seed=0, metadata=None):
+def sample_shots(psi, n_shots, model=None, seed=0):
     """Projective shots from |psi|^2 with per-site readout flips applied."""
     basis = psi.space
     if not isinstance(basis, Basis):
@@ -126,14 +130,12 @@ def sample_shots(psi, n_shots, model=None, seed=0, metadata=None):
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"state is not normalized (sum of populations {total})")
-    return sample_shots_from_distribution(
-        basis, probs / total, n_shots, model=model, seed=seed, metadata=metadata
-    )
+    return sample_shots_from_distribution(basis, probs / total, n_shots, model=model, seed=seed)
 
 
-def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0,
-                                   metadata=None):
-    """Shots from an explicit configuration distribution over a basis."""
+def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0):
+    """Shots from an explicit configuration distribution over a basis,
+    stamped with the seed and misread rates."""
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (basis.dim,) or not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise ValidationError("probability vector must be finite and nonnegative over the basis")
@@ -149,10 +151,7 @@ def sample_shots_from_distribution(basis, probs, n_shots, model=None, seed=0,
     u = rng.random(bits.shape)
     flip = np.where(bits == 1, u < model.p01, u < model.p10)
     bits = bits ^ flip.astype(np.uint8)
-    meta = {"seed": seed, "p10": model.p10, "p01": model.p01}
-    if metadata:
-        meta.update(metadata)
-    return ShotSet(basis.n_sites, bits, meta)
+    return ShotSet(basis.n_sites, bits, {"seed": seed, "p10": model.p10, "p01": model.p01})
 
 
 @lru_cache(maxsize=None)
@@ -322,30 +321,29 @@ def _equality_solve(mtm, mtw, free):
     return sol[:nf], float(sol[nf])
 
 
-def infer_true_distribution(observed, confusion, weights=None, max_iterations=None,
-                            active_set=None):
+def infer_true_distribution(observed, confusion, active_set=None):
     """Least-squares parent distribution on the probability simplex.
 
     Minimizes ||confusion @ V - observed||^2 subject to V >= 0 and
     sum(V) = 1 with a primal active-set method; binding constraints with
     negative multipliers are released lowest index first, which makes the
-    solution path deterministic.
+    solution path deterministic.  After INFERENCE_ITERATIONS_PER_GROUP * n
+    + INFERENCE_ITERATIONS_FLOOR iterations for n groups (read at call
+    time) InferenceError is raised.
 
     Parameters
     ----------
     observed : observed group distribution W (need not be normalized
         perfectly; it is used as given).
     confusion : column-stochastic group confusion matrix M.
-    weights : optional per-group nonnegative weights applied to the
-        residual (unweighted by default).
     active_set : optional group indices to start bound at zero, typically
         the `active_set` of a previous result on nearby data.  The walk
         then starts from the feasible point that is uniform on the other
         groups instead of on all of them.  When M^T M is positive definite
-        (square M with misread rates below 0.5 and positive weights) the
-        minimizer is unique, so a warm start changes only the number of
-        iterations; the path from a given start stays deterministic.  A
-        set that binds every group falls back to the cold start.
+        (square M with misread rates below 0.5) the minimizer is unique,
+        so a warm start changes only the number of iterations; the path
+        from a given start stays deterministic.  A set that binds every
+        group falls back to the cold start.
     """
     w_obs = np.asarray(observed, dtype=float)
     m = np.asarray(confusion, dtype=float)
@@ -363,21 +361,9 @@ def infer_true_distribution(observed, confusion, weights=None, max_iterations=No
         free[bound.astype(np.int64)] = False
         if not free.any():
             free[:] = True
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if (weights.shape != (m.shape[0],) or not np.all(np.isfinite(weights))
-                or np.any(weights < 0)):
-            raise ValidationError("weights must be finite and nonnegative, one per observed group")
-        scale = np.sqrt(weights)
-        m_fit = m * scale[:, None]
-        w_fit = w_obs * scale
-    else:
-        m_fit = m
-        w_fit = w_obs
-    mtm = m_fit.T @ m_fit
-    mtw = m_fit.T @ w_fit
-    if max_iterations is None:
-        max_iterations = 10 * n + 100
+    mtm = m.T @ m
+    mtw = m.T @ w_obs
+    max_iterations = INFERENCE_ITERATIONS_PER_GROUP * n + INFERENCE_ITERATIONS_FLOOR
     v = np.zeros(n)
     v[free] = 1.0 / np.count_nonzero(free)
     for iteration in range(1, max_iterations + 1):
@@ -441,8 +427,7 @@ def _truncated_normal(rng, mean, sd, lo=0.0, hi=0.5):
     return float(np.clip(mean, lo, hi - 1e-12))
 
 
-def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
-                          weights=None):
+def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0):
     """Bootstrap sigma of the inferred distribution.
 
     Each resample redraws the detection probabilities from their stated
@@ -459,9 +444,6 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
     w_hat = grouping.observed_distribution(shots)
     n_shots = shots.n_shots
     samples = np.empty((n_resamples, len(w_hat)))
-    # a zero weight can leave the minimizer non-unique, and then the
-    # answer could depend on the start: chain warm starts only without one
-    chain = weights is None or bool(np.all(np.asarray(weights, dtype=float) > 0))
     active_set = None
     for b in range(n_resamples):
         p10 = _truncated_normal(rng, model.p10, model.p10_uncertainty)
@@ -470,11 +452,9 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0,
         counts = rng.multinomial(n_shots, w_hat)
         w_b = counts / n_shots
         confusion_b = grouping.confusion(model_b)
-        result = infer_true_distribution(w_b, confusion_b, weights=weights,
-                                         active_set=active_set)
+        result = infer_true_distribution(w_b, confusion_b, active_set=active_set)
         samples[b] = result.distribution
-        if chain:
-            active_set = result.active_set
+        active_set = result.active_set
     if n_resamples == 1:
         return BootstrapResult(None, samples, 1, False)
     sigma = samples.std(axis=0, ddof=1)

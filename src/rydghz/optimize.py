@@ -39,7 +39,7 @@ from .propagate import (
     ground_state,
     lowest_spectrum,
 )
-from .protocols import edge_pair_density_matrix
+from .protocols import edge_bell_fidelity, edge_pair_density_matrix
 from .units import mhz_to_angular
 
 FOM_KINDS = ("ghz_fidelity", "state_overlap", "bell_edge_fidelity")
@@ -55,6 +55,8 @@ MINRES_MAX_ITER = 1000
 MINRES_RESIDUAL_BOUND = 1e-6
 # Samples of a local-adiabatic pulse's controls along its schedule.
 RAMP_TIME_POINTS = 2001
+# A quench region's slew rate stays at or below this fraction of the peak.
+QUENCH_SLEW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class FigureOfMerit:
             target = self.target.in_full_basis()
             value = abs(target.overlap(psi)) ** 2
         else:
-            rho = edge_pair_density_matrix(psi)
-            value = (rho[1, 1].real + rho[2, 2].real) / 2.0 + abs(rho[1, 2])
+            value = edge_bell_fidelity(edge_pair_density_matrix(psi))
         return float(min(max(value, 0.0), 1.0))
 
 
@@ -256,7 +257,7 @@ class PreparationSimulator:
         self.terms = terms
         self.dt = float(dt)
         start = ground_state(terms.basis).amplitudes
-        self.engine = SampledEvolution(evolution_space(terms, shifts, None, start),
+        self.engine = SampledEvolution(evolution_space(terms, shifts, start),
                                        terms, shifts)
         self.space = self.engine.space
         self.initial = start if self.space is terms.basis else self.space.to_sector(start)
@@ -557,7 +558,7 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
     else:
         s_grid = np.asarray(s_grid, dtype=float)
     start = ground_state(terms.basis).amplitudes
-    engine = SampledEvolution(evolution_space(terms, shifts, None, start), terms, shifts)
+    engine = SampledEvolution(evolution_space(terms, shifts, start), terms, shifts)
     coupling = engine.solver_coupling
     delta_slope_rad = mhz_to_angular(spec.delta_slope_mhz())
     weights = np.empty(s_grid.size)
@@ -697,19 +698,19 @@ class EigenpopulationTrace:
     def excited_populations(self):
         return 1.0 - self.ground_populations()
 
-    def quench_regions(self, threshold=0.5):
+    def quench_regions(self):
         """Fast/slow/fast split of the pulse by control slew rate.
 
         Returns (t_enter, t_exit) bracketing the longest contiguous run
         of grid times whose combined slew rate stays at or below
-        `threshold` times the peak rate, or None when no sample
+        QUENCH_SLEW_FRACTION times the peak rate, or None when no sample
         qualifies.
         """
         times = self.times_us
         speed = np.hypot(
             np.gradient(self.omega_mhz, times), np.gradient(self.delta_mhz, times)
         )
-        slow = speed <= threshold * speed.max()
+        slow = speed <= QUENCH_SLEW_FRACTION * speed.max()
         best_length = 0
         best_start = None
         run_start = None

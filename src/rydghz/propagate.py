@@ -330,22 +330,20 @@ class SampledEvolution:
         return amps.reshape(shape)
 
 
-def evolution_space(terms, shifts, coupling, amplitudes):
+def evolution_space(terms, shifts, amplitudes):
     """The even reflection sector if a run from the full-basis `amplitudes`
-    under terms, shifts and coupling (terms.coupling when None) stays in it,
-    else terms.basis.  It stays when the static diagonal is reflection
-    symmetric, the coupling commutes with the reflection R, and
-    |R psi - psi| <= 1e-12, which bounds what the sector run drops."""
+    under terms and shifts stays in it, else terms.basis.  It stays when
+    the static diagonal is reflection symmetric and |R psi - psi| <= 1e-12,
+    which bounds what the sector run drops; the all-site drive
+    terms.coupling commutes with the reflection R by construction."""
     basis = terms.basis
     if (np.linalg.norm(amplitudes[basis.reflection] - amplitudes) <= 1e-12
-            and terms.static_is_reflection_symmetric(shifts)
-            and basis.symmetric_under_reflection(
-                terms.coupling if coupling is None else coupling)):
+            and terms.static_is_reflection_symmetric(shifts)):
         return symmetry_sector(basis, "even")
     return basis
 
 
-def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, coupling=None):
+def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US):
     """Propagate `psi` through `pulse`; returns a new StateVector in psi's space.
 
     A full-basis state runs in the space evolution_space picks (a pulse of
@@ -354,8 +352,8 @@ def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US, coupling=None):
     """
     space = psi.space
     if space is terms.basis and pulse.tau > 0:
-        space = evolution_space(terms, shifts, coupling, psi.amplitudes)
-    engine = SampledEvolution(space, terms, shifts, coupling=coupling)
+        space = evolution_space(terms, shifts, psi.amplitudes)
+    engine = SampledEvolution(space, terms, shifts)
     if space is psi.space:
         return StateVector(space, engine.run(psi.amplitudes, pulse, dt=dt))
     amps = engine.run(space.to_sector(psi.amplitudes), pulse, dt=dt)

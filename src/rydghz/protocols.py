@@ -41,6 +41,16 @@ from .units import TWO_PI, mhz_to_angular
 _DENSE_UNITARY_CUTOFF = 1200
 # Periodogram grid points per inverse time span in dominant_frequency.
 PERIODOGRAM_OVERSAMPLE = 32
+# The readout calibration's grid: 1 ns steps out to 150 ns.
+CALIBRATION_T_MAX_US = 0.15
+CALIBRATION_DT_US = 0.001
+# The Bell pair's edge rotations: 5 MHz for omega * t = pi/2.
+BELL_READOUT_OMEGA_MHZ = 5.0
+BELL_READOUT_DURATION_US = 0.25 / BELL_READOUT_OMEGA_MHZ
+# The dimer picture's drive, read on 1 ns steps out to 0.75/omega.
+DIMER_OMEGA_MHZ = 5.0
+DIMER_T_MAX_US = 0.75 / DIMER_OMEGA_MHZ
+DIMER_DT_US = 0.001
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +85,8 @@ class GhzDecomposition:
         """Relative phase phi of the target (|A> + e^{i phi}|Abar>)/sqrt(2)."""
         return float(-np.angle(self.coherence)) if self.coherence != 0 else 0.0
 
-    def to_text(self, provenance=None):
-        pairs = [
+    def to_text(self):
+        return report_text("rydghz-ghz-decomposition", [
             ("population_a", self.population_a),
             ("population_abar", self.population_abar),
             ("coherence_real", self.coherence.real),
@@ -84,9 +94,7 @@ class GhzDecomposition:
             ("coherence_abs", abs(self.coherence)),
             ("fidelity", self.fidelity),
             ("exact", self.exact),
-        ]
-        pairs += [(key, provenance[key]) for key in sorted(provenance or {})]
-        return report_text("rydghz-ghz-decomposition", pairs)
+        ])
 
 
 def exact_ghz_decomposition(state, basis=None):
@@ -113,12 +121,12 @@ def exact_ghz_decomposition(state, basis=None):
     )
 
 
-def bounded_ghz_decomposition(population_a, population_abar, bound, phase=0.0):
-    """Decomposition with |coherence| known only as a lower bound."""
+def bounded_ghz_decomposition(population_a, population_abar, bound):
+    """Decomposition with |coherence| known only as a lower bound, taken real."""
     return GhzDecomposition(
         population_a=float(population_a),
         population_abar=float(population_abar),
-        coherence=complex(bound * np.exp(1j * phase)),
+        coherence=complex(bound),
         exact=False,
     )
 
@@ -138,13 +146,13 @@ class _ConstantDrive:
 
     Every rotation is one Krylov dense-output walk (see _walk): rotate
     carries each column of a block alone through the stop times h*k of
-    step_grid(tau, dt), and overlap_curve reads a whole time grid.  Krylov
-    settings are read from the propagate module at call time, as
+    step_grid(tau, dt), and overlap_curve reads a whole ascending time grid.
+    Krylov settings are read from the propagate module at call time, as
     SampledEvolution.run reads them.
     """
 
     def __init__(self, matvec):
-        self._apply = matvec
+        self.matvec = matvec
 
     @classmethod
     def resonant(cls, space, terms, omega_mhz, coupling=None):
@@ -152,9 +160,6 @@ class _ConstantDrive:
         with the matvec SampledEvolution uses for its pulses."""
         engine = SampledEvolution(space, terms, coupling=coupling)
         return cls(engine.matvec_at(mhz_to_angular(omega_mhz), 0.0))
-
-    def _matvec(self, x):
-        return self._apply(x)
 
     def _walk(self, states, times, visit=None):
         """Carry `states` through the ascending `times` (measured from 0).
@@ -171,7 +176,7 @@ class _ConstantDrive:
         tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
         done, now = 0, 0.0
         while done < times.size:
-            parts = [propagate.krylov_dense_output(self._matvec, s, times[done:] - now,
+            parts = [propagate.krylov_dense_output(self.matvec, s, times[done:] - now,
                                                    tol=tol, max_dim=max_dim) for s in states]
             n = min(coeffs.shape[0] for _, coeffs in parts)
             if visit is not None:
@@ -195,50 +200,41 @@ class _ConstantDrive:
         return out
 
     def overlap_curve(self, ket, bra, weights, times, mirror=None):
-        """<U(t) bra| diag(weights) |U(t) ket> at each of `times`, U(t) = exp(-i t H).
+        """<U(t) bra| diag(weights) |U(t) ket> at each of the ascending
+        `times` (measured from 0), U(t) = exp(-i t H).
 
         With `mirror`, the index array of a permutation R that commutes with
         H and the weights, bra is taken as R ket and only ket is evolved:
-        U(t) R ket = R U(t) ket.  The times, of any sign and order, are
-        walked outward from 0: the negative ones in descending order, the
-        others in ascending order.
+        U(t) R ket = R U(t) ket.
         """
         values = np.empty(times.size, dtype=complex)
 
-        def reader(walked):
-            def visit(done, parts):
-                (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
-                gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
-                # Four bra vectors at a time, conjugated and weighted in
-                # place: no full-size copy of a basis.
-                for lo in range(0, gram.shape[0], 4):
-                    rows = (ket_basis[lo:lo + 4, mirror] if mirror is not None
-                            else bra_basis[lo:lo + 4].copy())
-                    np.conjugate(rows, out=rows)
-                    rows *= weights
-                    gram[lo:lo + 4] = rows @ ket_basis.T
-                values[walked[done:done + len(ket_coeffs)]] = np.einsum(
-                    "tm,mn,tn->t", bra_coeffs.conj(), gram, ket_coeffs)
+        def visit(done, parts):
+            (ket_basis, ket_coeffs), (bra_basis, bra_coeffs) = parts[0], parts[-1]
+            gram = np.empty((bra_basis.shape[0], ket_basis.shape[0]), dtype=complex)
+            # Four bra vectors at a time, conjugated and weighted in
+            # place: no full-size copy of a basis.
+            for lo in range(0, gram.shape[0], 4):
+                rows = (ket_basis[lo:lo + 4, mirror] if mirror is not None
+                        else bra_basis[lo:lo + 4].copy())
+                np.conjugate(rows, out=rows)
+                rows *= weights
+                gram[lo:lo + 4] = rows @ ket_basis.T
+            values[done:done + len(ket_coeffs)] = np.einsum(
+                "tm,mn,tn->t", bra_coeffs.conj(), gram, ket_coeffs)
 
-            return visit
-
-        order = np.argsort(times, kind="stable")
-        negative = times[order] < 0
-        for walked in (order[negative][::-1], order[~negative]):
-            self._walk([ket] if mirror is not None else [ket, bra], times[walked],
-                       reader(walked))
+        self._walk([ket] if mirror is not None else [ket, bra], times, visit)
         return values
 
 
-def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US, coupling=None):
-    """Resonant constant drive under the full interacting Hamiltonian.
+def apply_ux(psi, terms, duration_us, omega_mhz=5.0, dt=DEFAULT_DT_US):
+    """Resonant all-site drive under the full interacting Hamiltonian.
 
-    coupling replaces the all-site drive template, as in `evolve`.  The
-    state is walked by Krylov dense output through the stop times h*k of
-    step_grid(duration_us, dt); one Lanczos basis serves every stop it
+    The state is walked by Krylov dense output through the stop times h*k
+    of step_grid(duration_us, dt); one Lanczos basis serves every stop it
     reaches, so dt bounds the stop spacing, not the number of bases.
     """
-    drive = _ConstantDrive.resonant(psi.space, terms, omega_mhz, coupling)
+    drive = _ConstantDrive.resonant(psi.space, terms, omega_mhz)
     rotated = drive.rotate(psi.amplitudes[:, None], duration_us, dt)
     return StateVector(psi.space, rotated[:, 0])
 
@@ -262,12 +258,13 @@ class UxCalibration:
     contrast_curve: np.ndarray = field(repr=False)
 
 
-def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
-    """Scan the readout duration on a uniform grid (1 ns by default).
+def optimal_ux_duration(terms, omega_mhz=5.0):
+    """Scan the readout duration on a uniform grid: 1 ns steps to 150 ns.
 
     The contrast (E_plus - E_minus)/2 between opposite-phase GHZ inputs
     equals Re q(t) with q(t) = <U Abar|P|U A>.  The curve is read at the
-    round(t_max/dt) grid times h*k of step_grid by Krylov dense output:
+    grid times h*k of step_grid(CALIBRATION_T_MAX_US, CALIBRATION_DT_US)
+    by Krylov dense output:
     one Lanczos basis serves every grid time it reaches, with no stored
     history.  When the reflection R pairs the two orderings (_mirror, asked
     with |A> + |Abar>, the rule the parity scan uses), U|Abar> = R U|A> and
@@ -277,7 +274,7 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     if basis.n_sites % 2:
         raise ValidationError("readout calibration needs an even chain")
     drive = _ConstantDrive.resonant(basis, terms, omega_mhz)
-    n_steps, h = step_grid(t_max_us, dt)
+    n_steps, h = step_grid(CALIBRATION_T_MAX_US, CALIBRATION_DT_US)
     times = h * np.arange(1, n_steps + 1)
     ket, bra = np.zeros((2, basis.dim), dtype=complex)
     i_a, i_abar = basis.ghz_indices()
@@ -296,21 +293,19 @@ def optimal_ux_duration(terms, omega_mhz=5.0, t_max_us=0.15, dt=0.001):
     )
 
 
-def ideal_rotation_readout(basis, angle=np.pi / 2, phase=0.0):
+def ideal_rotation_readout(basis):
     """Noninteracting product rotation, for readout substitution tests.
 
     Embeds the state into the unconstrained configuration space and applies
-    exp(-i angle/2 (cos(phase) sigma_x + sin(phase) sigma_y)) on every site.
-    Only practical for small chains (2^N amplitudes).
+    exp(-i (pi/4) sigma_x), a pi/2 rotation, on every site.  Only practical
+    for small chains (2^N amplitudes).
     """
     n = basis.n_sites
     if n > 14:
         raise ValidationError("product-rotation readout is limited to short chains")
     full = enumerate_basis(ChainGeometry(n, max_adjacent_pairs=max(n - 1, 0)))
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    single = np.array(
-        [[c, -1j * s * np.exp(1j * phase)], [-1j * s * np.exp(-1j * phase), c]]
-    )
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    single = np.array([[c, -1j * s], [-1j * s, c]])
     rotation = np.ones((1, 1), dtype=complex)
     for _ in range(n):
         rotation = np.kron(rotation, single)
@@ -338,19 +333,12 @@ class CosineFit:
     residual_rms: float
 
 
-def _fit_cosine(x, values, omega, weights=None):
+def _fit_cosine(x, values, omega):
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     if x.shape != values.shape or x.ndim != 1:
         raise ValidationError("fit needs matching 1-d abscissa and values")
     design = np.column_stack([np.ones_like(x), np.cos(omega * x), np.sin(omega * x)])
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != x.shape or np.any(weights < 0):
-            raise ValidationError("fit weights must be nonnegative, one per point")
-        scale = np.sqrt(weights)
-        design = design * scale[:, None]
-        values = values * scale
     if np.linalg.matrix_rank(design) < 3:
         raise FitError("singular normal equations: the sample times do not "
                        "resolve offset, cosine, and sine terms")
@@ -366,18 +354,18 @@ def _fit_cosine(x, values, omega, weights=None):
     )
 
 
-def fit_fixed_frequency(times_us, values, frequency_mhz, weights=None):
+def fit_fixed_frequency(times_us, values, frequency_mhz):
     """Three-parameter cosine fit at a known frequency (MHz, times in us)."""
-    return _fit_cosine(times_us, values, mhz_to_angular(frequency_mhz), weights=weights)
+    return _fit_cosine(times_us, values, mhz_to_angular(frequency_mhz))
 
 
-def dominant_frequency(times_us, values, f_max_mhz=None):
+def dominant_frequency(times_us, values):
     """Peak of the demeaned periodogram, refined by a cosine fit (MHz).
 
     Diagnostic companion to the fixed-frequency fit; the grid step is the
     inverse time span divided by PERIODOGRAM_OVERSAMPLE.  The grid ends at
-    f_max_mhz, by default the Nyquist limit of the smallest positive
-    spacing between sample times (repeated times add no resolution).
+    the Nyquist limit of the smallest positive spacing between sample times
+    (repeated times add no resolution).
     """
     t = np.asarray(times_us, dtype=float)
     y = np.asarray(values, dtype=float) - np.mean(values)
@@ -385,9 +373,8 @@ def dominant_frequency(times_us, values, f_max_mhz=None):
     if span <= 0 or t.size < 4:
         raise FitError("need a spread of sample times to locate a frequency")
     df = 1.0 / (span * PERIODOGRAM_OVERSAMPLE)
-    if f_max_mhz is None:
-        gaps = np.diff(np.sort(t))
-        f_max_mhz = 0.5 / gaps[gaps > 0].min()
+    gaps = np.diff(np.sort(t))
+    f_max_mhz = 0.5 / gaps[gaps > 0].min()
     freqs = np.arange(df, f_max_mhz + df, df)
     phases = TWO_PI * np.outer(freqs, t)
     power = np.abs(np.cos(phases) @ y - 1j * (np.sin(phases) @ y))
@@ -468,7 +455,7 @@ def _mirror(terms, amplitudes):
     """R as an index array if evolution_space keeps the full-basis
     `amplitudes` in the even sector of the readout of `terms`, else None:
     then U R x = R U x for the readout U and every part x of the state."""
-    if evolution_space(terms, None, None, amplitudes) is terms.basis:
+    if evolution_space(terms, None, amplitudes) is terms.basis:
         return None
     return terms.basis.reflection
 
@@ -506,14 +493,14 @@ def _diagonal_expectation(images, weights, phases):
     return np.einsum("tm,mk,tk->t", phases.conj(), gram, phases).real
 
 
-def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=None,
-                            n_times=None, mode="exact", detection=None,
-                            n_shots=1000, seed=0, grouping=None, dt=DEFAULT_DT_US,
-                            basis=None):
+def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=None,
+                            mode="exact", detection=None, n_shots=1000, seed=0,
+                            grouping=None, dt=DEFAULT_DT_US, basis=None):
     """Accumulate staggered phase, rotate, and measure parity versus time.
 
-    state may be a StateVector or (for bound audits) a density matrix with
-    an explicit `basis`.  readout is a UxCalibration, a duration in us, a
+    The times are default_scan_times(N, delta_p_mhz, n_times).  state may
+    be a StateVector or (for bound audits) a density matrix with an
+    explicit `basis`.  readout is a UxCalibration, a duration in us, a
     callable psi -> psi, or None to calibrate a scanned-optimal rotation.
     mode 'exact' records expectation values; 'shots-raw' draws bitstrings
     through a DetectionModel and averages their parities; 'shots-inferred'
@@ -552,10 +539,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, times_us=No
     n = basis.n_sites
     if n % 2:
         raise ValidationError("parity oscillations need an even chain")
-    if times_us is None:
-        times_us = default_scan_times(n, delta_p_mhz, n_times)
-    else:
-        times_us = np.asarray(times_us, dtype=float)
+    times_us = default_scan_times(n, delta_p_mhz, n_times)
     generator = staggered_field_generator(basis, delta_p_mhz)
 
     if callable(readout):
@@ -752,52 +736,37 @@ def _dimer_operators(n_dimers, v_rad, v2_rad):
     return coupling, diagonal, parity
 
 
-def dimer_model_contrast(n_dimers, omega_mhz=5.0, v_mhz=24.0, v2_mhz=24.0 / 64.0,
-                         times_us=None, dt=0.001):
+def dimer_model_contrast(n_dimers, v_mhz=24.0, v2_mhz=24.0 / 64.0):
     """Readout contrast in the weakly interacting spin-1 dimer picture.
 
     Both orderings of the chain GHZ state become ferromagnetic spin-1
-    states |++...> and |--...>; the resonant drive acts as
-    (omega/sqrt(2)) * sum_j Sx.  With interactions off the contrast peaks
-    exactly at omega * t = pi / sqrt(2); blockade (v) and next-nearest
-    neighbor (v2) couplings between dimers reduce it.  The contrast
-    (E_plus - E_minus)/2 equals Re <U --|P|U ++>, read at `times_us`, in
-    any order or sign, by Krylov dense output (see
-    _ConstantDrive.overlap_curve); without them the grid is step_grid's
-    h*k up to 0.75/omega us for the requested dt.  Given times are walked
-    through stops no farther than dt apart, from 0 out to each of them,
-    and the contrast is reported at the given times only.
+    states |++...> and |--...>; the resonant drive at DIMER_OMEGA_MHZ acts
+    as (omega/sqrt(2)) * sum_j Sx.  With interactions off the contrast
+    peaks exactly at omega * t = pi / sqrt(2); blockade (v) and
+    next-nearest neighbor (v2) couplings between dimers reduce it.  The
+    contrast (E_plus - E_minus)/2 equals Re <U --|P|U ++>, read by Krylov
+    dense output (see _ConstantDrive.overlap_curve) at the grid times h*k
+    of step_grid(DIMER_T_MAX_US, DIMER_DT_US), 1 ns steps out to 0.75/omega.
     """
     if n_dimers < 1:
         raise ValidationError("need at least one dimer")
-    if times_us is None:
-        n_steps, h = step_grid(0.15 * 5.0 / omega_mhz, dt)
-        times_us = walked = h * np.arange(1, n_steps + 1)
-        picked = slice(None)
-    else:
-        if not dt > 0 or not np.isfinite(dt):
-            raise ValidationError(f"dt must be positive, got {dt}")
-        times_us = np.asarray(times_us, dtype=float)
-        marks = np.unique(np.append(times_us, 0.0))
-        stops = [a + (b - a) * np.arange(1, n) / n
-                 for a, b, n in zip(marks[:-1], marks[1:], np.ceil(np.diff(marks) / dt))]
-        walked = np.unique(np.concatenate([times_us, *stops]))
-        picked = np.searchsorted(walked, times_us)
+    n_steps, h = step_grid(DIMER_T_MAX_US, DIMER_DT_US)
+    times_us = h * np.arange(1, n_steps + 1)
     coupling, diagonal, parity = _dimer_operators(
         n_dimers, mhz_to_angular(v_mhz), mhz_to_angular(v2_mhz)
     )
-    omega_rad = mhz_to_angular(omega_mhz)
+    omega_rad = mhz_to_angular(DIMER_OMEGA_MHZ)
     drive = _ConstantDrive(drive_matvec(coupling, omega_rad, diagonal))
     plus, minus = np.zeros((2, diagonal.size), dtype=complex)
     plus[0] = minus[-1] = 1.0  # |++...+>, |--...->
-    contrast = drive.overlap_curve(plus, minus, parity, walked).real[picked]
+    contrast = drive.overlap_curve(plus, minus, parity, times_us).real
     best = int(np.argmax(contrast))
     return DimerContrast(
         times_us=times_us,
         contrast=contrast,
         optimal_time_us=float(times_us[best]),
         optimal_contrast=float(contrast[best]),
-        omega_mhz=omega_mhz,
+        omega_mhz=DIMER_OMEGA_MHZ,
         v_mhz=v_mhz,
         v2_mhz=v2_mhz,
         n_dimers=n_dimers,
@@ -821,6 +790,12 @@ def edge_pair_density_matrix(psi):
     table = np.zeros((1 << (n - 2), 4), dtype=complex)
     table[bulk, edge] = psi.amplitudes
     return table.T @ table.conj()
+
+
+def edge_bell_fidelity(rho):
+    """Bell fidelity of an edge density matrix at the best relative phase:
+    the one-excitation populations' mean plus |<01|rho|10>|."""
+    return float((rho[1, 1].real + rho[2, 2].real) / 2.0 + abs(rho[1, 2]))
 
 
 @dataclass
@@ -857,7 +832,6 @@ class BellDistributionResult:
 
 def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
                                preparation_shifts=None, edge_shift_mhz=6.0,
-                               readout_omega_mhz=5.0, readout_duration_us=None,
                                phases=None, initial_state=None, dt=DEFAULT_DT_US):
     """Distribute entanglement to the chain edges and read out the pair.
 
@@ -865,7 +839,8 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     `initial_state` is given), switch the edge sites to an isolating local
     shift, drive the detuning back down with `pulse_reverse` so the bulk
     disentangles toward |00...0>, leaving the edge pair in a one-excitation
-    superposition.  A pi/2 rotation restricted to the edge atoms at phase 0
+    superposition.  A pi/2 rotation restricted to the edge atoms
+    (BELL_READOUT_OMEGA_MHZ for BELL_READOUT_DURATION_US) at phase 0
     converts it to the 00/11 form whose patterns (all ground, both edges
     excited) are reported; a second pi/2 rotation at variable phase then
     produces the parity fringe whose amplitude bounds the pair coherence.
@@ -884,9 +859,7 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     n = basis.n_sites
     if n < 4:
         raise ValidationError("edge distribution needs at least four sites")
-    if readout_duration_us is None:
-        readout_duration_us = 0.25 / readout_omega_mhz  # omega * t = pi/2
-    step_grid(readout_duration_us, dt)  # refuse a dt the rotations cannot take up front
+    step_grid(BELL_READOUT_DURATION_US, dt)  # refuse a dt the rotations cannot take up front
     if initial_state is not None:
         psi = initial_state.in_full_basis()
         if pulse_forward is not None:
@@ -904,9 +877,6 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     edge_populations = np.diag(edge_rho).real
     purity = float(np.trace(edge_rho @ edge_rho).real)
     coherence = complex(edge_rho[1, 2])  # <01|rho|10>
-    exact_bell_fidelity = float(
-        (edge_rho[1, 1].real + edge_rho[2, 2].real) / 2.0 + abs(coherence)
-    )
     bits = basis.bits_matrix().astype(float)
     bulk_ground = 1.0 - psi.populations() @ bits[:, 1:-1]
 
@@ -914,9 +884,9 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         phases = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     else:
         phases = np.asarray(phases, dtype=float)
-    drive = _ConstantDrive.resonant(basis, terms, readout_omega_mhz,
+    drive = _ConstantDrive.resonant(basis, terms, BELL_READOUT_OMEGA_MHZ,
                                     drive_coupling(basis, sites=(1, n)))
-    converted = drive.rotate(psi.amplitudes[:, None], readout_duration_us, dt)[:, 0]
+    converted = drive.rotate(psi.amplitudes[:, None], BELL_READOUT_DURATION_US, dt)[:, 0]
     converted_probs = np.abs(converted) ** 2
     site_populations = converted_probs @ bits
     pop_ground = float(converted_probs[basis.index_of(0)])
@@ -925,7 +895,7 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     edge_parity_sign = np.where(edge_excitations % 2 == 0, 1.0, -1.0)
     _, images, rates = _rotated_components(
         converted, -edge_excitations,
-        lambda block: (basis, drive.rotate(block, readout_duration_us, dt)))
+        lambda block: (basis, drive.rotate(block, BELL_READOUT_DURATION_US, dt)))
     edge_parity = _diagonal_expectation(images, edge_parity_sign,
                                         np.exp(-1j * np.outer(phases, rates)))
     fringe_fit = _fit_cosine(phases, edge_parity, omega=2.0)
@@ -937,7 +907,7 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         edge_populations=edge_populations,
         purity=purity,
         exact_coherence=coherence,
-        exact_bell_fidelity=exact_bell_fidelity,
+        exact_bell_fidelity=edge_bell_fidelity(edge_rho),
         bulk_ground_min=float(bulk_ground.min()),
         bulk_ground_mean=float(bulk_ground.mean()),
         state_converted=StateVector(basis, converted),

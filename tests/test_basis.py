@@ -52,9 +52,10 @@ def test_blocked_pattern_rejected():
 
 
 def test_capacity_cap_raises_before_allocation():
+    # 14,930,352 configurations at N=34: counted, refused, never built.
     with pytest.raises(CapacityError) as err:
-        enumerate_basis(ChainGeometry(20), max_configs=1000)
-    assert "17711" in str(err.value)
+        enumerate_basis(ChainGeometry(34))
+    assert "14930352" in str(err.value)
 
 
 def test_geometry_validation():

@@ -326,17 +326,6 @@ class TestInference:
             )
             assert objective(result.distribution) <= reference.fun + 1e-10
 
-    def test_weighted_inference(self):
-        grouping = ExcitationGrouping(4)
-        confusion = grouping.confusion(DetectionModel())
-        v_true = np.asarray([0.2, 0.1, 0.4, 0.1, 0.2])
-        w = confusion @ v_true
-        weights = np.asarray([1.0, 4.0, 1.0, 4.0, 1.0])
-        result = infer_true_distribution(w, confusion, weights=weights)
-        assert np.allclose(result.distribution, v_true, atol=1e-9)
-        with pytest.raises(ValidationError):
-            infer_true_distribution(w, confusion, weights=-weights)
-
     def test_deterministic(self):
         grouping = MagnetizationExcitationGrouping(6)
         confusion = grouping.confusion(DetectionModel())
@@ -352,10 +341,12 @@ class TestInference:
         with pytest.raises(ValidationError):
             infer_true_distribution(np.ones(3), np.eye(4))
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         confusion = ExcitationGrouping(4).confusion(DetectionModel())
+        monkeypatch.setattr(detection, "INFERENCE_ITERATIONS_PER_GROUP", 0)
+        monkeypatch.setattr(detection, "INFERENCE_ITERATIONS_FLOOR", 0)
         with pytest.raises(InferenceError):
-            infer_true_distribution(np.ones(5) / 5, confusion, max_iterations=0)
+            infer_true_distribution(np.ones(5) / 5, confusion)
 
     def test_non_finite_input_refused(self):
         confusion = ExcitationGrouping(4).confusion(DetectionModel())
@@ -367,11 +358,6 @@ class TestInference:
         bad[1, 3] = np.inf
         with pytest.raises(ValidationError, match="finite"):
             infer_true_distribution(np.ones(5) / 5, bad)
-        for weight in (np.nan, np.inf):
-            weights = np.ones(5)
-            weights[1] = weight
-            with pytest.raises(ValidationError, match="finite"):
-                infer_true_distribution(np.ones(5) / 5, confusion, weights=weights)
 
     def test_bad_active_set_refused(self):
         confusion = ExcitationGrouping(4).confusion(DetectionModel())
@@ -492,15 +478,6 @@ class TestWarmStartedCallers:
         assert warm[0][0] is None
         assert all(warm[b][0] == warm[b - 1][1].active_set for b in range(1, 50))
         assert sum(r.iterations for _, r in warm) < sum(r.iterations for _, r in cold)
-
-    def test_bootstrap_with_a_zero_weight_starts_cold(self, monkeypatch):
-        shots = _ghz_shots(8, 2000, seed=4)
-        grouping = MagnetizationExcitationGrouping(8)
-        weights = np.ones(grouping.n_groups)
-        weights[3] = 0.0
-        calls = _recording_inference(monkeypatch, warm=True)
-        bootstrap_uncertainty(shots, grouping, n_resamples=5, seed=1, weights=weights)
-        assert [given for given, _ in calls] == [None] * 5
 
     def test_inferred_scan_matches_cold_starts(self, monkeypatch):
         basis = enumerate_basis(ChainGeometry(8))

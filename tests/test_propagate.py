@@ -25,7 +25,6 @@ from rydghz.propagate import (
     krylov_expm_apply,
     lowest_spectrum,
 )
-from rydghz.protocols import apply_ux
 from rydghz.units import TWO_PI, mhz_to_angular
 
 from _oracles import classical_diagonal_energies, dense_evolve
@@ -345,9 +344,7 @@ def test_sector_refuses_a_reflection_breaking_coupling():
     with pytest.raises(ValidationError, match="reflection"):
         even.reduce_operator(coupling)
     with pytest.raises(ValidationError, match="reflection"):
-        evolve(psi0, standard_guess_pulse(0.3), terms, coupling=coupling)
-    with pytest.raises(ValidationError, match="reflection"):
-        apply_ux(psi0, terms, 0.05, coupling=coupling)
+        SampledEvolution(psi0.space, terms, coupling=coupling)
     edges = drive_coupling(basis, sites=(1, 6))
     assert even.reduce_operator(edges).shape == (even.dim, even.dim)
 
@@ -379,7 +376,7 @@ class TestEvolutionSpace:
         terms = build_terms(basis)
         shifts = LocalShifts.preparation_default(8)
         amps = _even_state(basis, seed=8)
-        assert evolution_space(terms, shifts, None, amps).sector == "even"
+        assert evolution_space(terms, shifts, amps).sector == "even"
         pulse = _random_crab_pulse(0.4, seed=8)
         out = evolve(StateVector(basis, amps), pulse, terms, shifts, dt=0.002)
         assert [space.dim for space in run_spaces] == [symmetry_sector(basis, "even").dim]
@@ -387,7 +384,7 @@ class TestEvolutionSpace:
         forced = SampledEvolution(basis, terms, shifts).run(amps, pulse, dt=0.002)
         assert np.abs(out.amplitudes - forced).max() <= 1e-12
 
-    def test_asymmetric_state_shifts_or_coupling_stay_on_the_full_basis(self, run_spaces):
+    def test_asymmetric_state_or_shifts_stay_on_the_full_basis(self, run_spaces):
         basis = enumerate_basis(ChainGeometry(6))
         terms = build_terms(basis)
         symmetric = LocalShifts.preparation_default(6)
@@ -395,18 +392,15 @@ class TestEvolutionSpace:
         even = _even_state(basis, seed=6)
         rng = np.random.default_rng(7)
         uneven = even + 1e-9 * rng.normal(size=basis.dim)
-        site1 = drive_coupling(basis, sites=(1,))
-        assert evolution_space(terms, symmetric, None, even).sector == "even"
-        assert evolution_space(terms, symmetric, None, even + 1e-14).sector == "even"
+        assert evolution_space(terms, symmetric, even).sector == "even"
+        assert evolution_space(terms, symmetric, even + 1e-14).sector == "even"
         pulse = _random_crab_pulse(0.3, seed=6)
-        for amps, shifts, coupling in ((uneven, symmetric, None), (even, breaking, None),
-                                       (even, symmetric, site1)):
-            assert evolution_space(terms, shifts, coupling, amps) is basis
+        for amps, shifts in ((uneven, symmetric), (even, breaking)):
+            assert evolution_space(terms, shifts, amps) is basis
             run_spaces.clear()
-            out = evolve(StateVector(basis, amps), pulse, terms, shifts, dt=0.002,
-                         coupling=coupling)
+            out = evolve(StateVector(basis, amps), pulse, terms, shifts, dt=0.002)
             assert run_spaces == [basis]
-            forced = SampledEvolution(basis, terms, shifts, coupling=coupling)
+            forced = SampledEvolution(basis, terms, shifts)
             assert np.array_equal(out.amplitudes, forced.run(amps, pulse, dt=0.002))
 
 
