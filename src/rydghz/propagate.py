@@ -9,6 +9,12 @@ reorthogonalization: the Krylov approximation of exp(-i t H) v stays
 accurate in finite precision even when the basis loses orthogonality
 (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998);
 Musco, Musco & Sidford, SODA 2018).
+At the small dimensions of a pulse search a Lanczos iteration costs more
+in call dispatch than in flops, so the loop calls the compiled kernels
+directly: the drive product is scipy's CSR product (sparsetools
+csr_matvec) on arrays bound once per matvec, which returns a new array;
+the recurrence updates it in place with BLAS level 1 (zaxpy, zdotc); and
+the small tridiagonal is solved by LAPACK dstev.
 The same Lanczos loop gives dense output under a constant generator:
 one basis yields exp(-i t H) v at every requested time it reaches, and a
 single step is its one-time case.  Independent pulses on one step grid
@@ -25,6 +31,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+from scipy.linalg import blas, lapack
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .basis import SymmetrizedBasis, symmetry_sector
@@ -36,6 +44,10 @@ KRYLOV_MAX_DIM = 64
 # Eigenvalues this close to the ground energy count as degenerate with it.
 DEGENERACY_TOL = 1e-8
 _DENSE_SPECTRUM_CUTOFF = 600
+# Compiled kernels of the Lanczos loop and the drive product, bound once.
+_zaxpy, _zdotc, _dstev = blas.zaxpy, blas.zdotc, lapack.dstev
+_csr_matvec = _sparsetools.csr_matvec
+_ONE_BY_ONE = np.ones((1, 1))
 
 
 @dataclass
@@ -108,20 +120,23 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     """exp(-1j*t*H) @ vec at the leading `times` one Lanczos basis reaches.
 
     Lanczos for Hermitian H given through `matvec`, which must return a
-    new array, by the three-term recurrence
-    w = H v_j - alpha_j v_j - beta_{j-1} v_{j-1}, alpha_j = Re<v_j|w>,
-    beta_j = |w|, with no reorthogonalization: the approximation of
-    exp(-i t H) v stays accurate when the basis loses orthogonality
-    (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38
-    (1998); Musco, Musco & Sidford, SODA 2018).  The basis grows until
-    the last of `times` (any order or sign) meets the a-posteriori estimate
+    new array that the recurrence may overwrite, by the three-term
+    recurrence w = H v_j - alpha_j v_j - beta_{j-1} v_{j-1},
+    alpha_j = Re<v_j|w>, beta_j = |w|, with no reorthogonalization: the
+    approximation of exp(-i t H) v stays accurate when the basis loses
+    orthogonality (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput.
+    19, 38 (1998); Musco, Musco & Sidford, SODA 2018).  alpha and beta
+    stay in 1-D arrays; the updates and inner products are BLAS level-1
+    calls (zaxpy, zdotc) on w in place, and the small tridiagonal is
+    solved by LAPACK dstev.  The basis grows until the last of `times`
+    (any order or sign) meets the a-posteriori estimate
     |t| * beta_m * |u_m(t)| <= `tol` (relative to |vec|), or until
     `max_dim` vectors; convergence is first checked at `start_check`
     vectors.  Returns (basis, coeffs): the m basis vectors as rows and one
     row of m coefficients for each leading time whose estimate meets
     `tol`, so the state at times[k] is coeffs[k] @ basis (Park & Light,
     J. Chem. Phys. 85, 5870 (1986)).  When not even times[0] meets `tol`,
-    PropagationError is raised.
+    or dstev fails, PropagationError is raised.
     """
     nrm = math.sqrt(np.vdot(vec, vec).real)
     if nrm == 0.0:
@@ -131,25 +146,26 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     dim = vec.size
     max_dim = min(max_dim, dim)
     v = np.empty((max_dim, dim), dtype=complex)
-    v[0] = vec / nrm
-    tridiag = np.zeros((max_dim, max_dim))
+    np.divide(vec, nrm, out=v[0])
+    alpha = np.empty(max_dim)
+    beta = np.empty(max_dim)
     for j in range(max_dim):
+        # f2py copies a w that is not contiguous complex128, so each
+        # update keeps the array zaxpy returns.
         w = matvec(v[j])
         if j:
-            w -= b * v[j - 1]
-        a = np.vdot(v[j], w).real
-        w -= a * v[j]
-        tridiag[j, j] = a
-        b = math.sqrt(np.vdot(w, w).real)
+            w = _zaxpy(v[j - 1], w, a=-b)
+        a = alpha[j] = _zdotc(v[j], w).real
+        w = _zaxpy(v[j], w, a=-a)
+        b = beta[j] = math.sqrt(_zdotc(w, w).real)
         m = j + 1
         if m >= start_check or b < 1e-14 or m == max_dim:
-            evals, q = np.linalg.eigh(tridiag[:m, :m])
+            evals, q = _tridiagonal_eigh(alpha, beta, m)
             u = q @ (np.exp(-1j * t_last * evals) * q[0])
             converged = abs_last * b * abs(u[-1]) <= tol or b < 1e-14
             if converged or m == max_dim:
                 break
-        tridiag[j, j + 1] = tridiag[j + 1, j] = b
-        v[j + 1] = w / b
+        np.divide(w, b, out=v[j + 1])
     if len(times) == 1:
         n_met, rows = int(converged), u[None, :]
     else:
@@ -162,6 +178,19 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
             f"Krylov step did not reach tolerance {tol} within dimension {max_dim}"
         )
     return v[:m], rows[:n_met] * nrm
+
+
+def _tridiagonal_eigh(alpha, beta, m):
+    """Eigenpairs (evals, q with eigenvectors as columns) of the m x m
+    symmetric tridiagonal with diagonal alpha[:m] and off-diagonal
+    beta[:m-1], by LAPACK dstev; dstev needs m >= 2, and m = 1 is its own
+    eigenpair."""
+    if m == 1:
+        return alpha[:1], _ONE_BY_ONE
+    evals, q, info = _dstev(alpha[:m], beta[:m - 1])
+    if info:
+        raise PropagationError(f"tridiagonal eigensolver dstev failed with info {info}")
+    return evals, q
 
 
 def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
@@ -195,14 +224,22 @@ def step_grid(tau, dt):
 
 
 def drive_matvec(coupling, omega_rad, diag):
-    """x -> omega * (coupling @ x) + diag * x for a complex coupling.
+    """x -> omega * (coupling @ x) + diag * x for a CSR coupling.
 
-    The product is scaled and the diagonal added in place, so a complex x
-    costs one sparse product and no conversion of the coupling.
+    omega and diag may be scalars or per-row arrays.  The CSR arrays are
+    bound once, and each call runs scipy's compiled CSR product
+    (sparsetools csr_matvec) into a new zeroed output, then scales it and
+    adds the diagonal in place; it returns that new array.  The output is
+    complex for a complex coupling, and has x's dtype for a real one, so
+    a real coupling keeps real vectors real.
     """
+    n_row, n_col = coupling.shape
+    indptr, indices, data = coupling.indptr, coupling.indices, coupling.data
+    out_dtype = complex if data.dtype.kind == "c" else None
 
     def matvec(x):
-        w = coupling @ x
+        w = np.zeros(n_row, dtype=out_dtype or x.dtype)
+        _csr_matvec(n_row, n_col, indptr, indices, data, x, w)
         w *= omega_rad
         w += diag * x
         return w

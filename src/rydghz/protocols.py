@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import propagate
-from .basis import ChainGeometry, enumerate_basis
 from .detection import sample_shots
 from .errors import FitError, ValidationError
 from .fileio import TableData, report_text
@@ -291,31 +290,6 @@ def optimal_ux_duration(terms, omega_mhz=5.0):
         times_us=times,
         contrast_curve=contrast_curve,
     )
-
-
-def ideal_rotation_readout(basis):
-    """Noninteracting product rotation, for readout substitution tests.
-
-    Embeds the state into the unconstrained configuration space and applies
-    exp(-i (pi/4) sigma_x), a pi/2 rotation, on every site.  Only practical
-    for small chains (2^N amplitudes).
-    """
-    n = basis.n_sites
-    if n > 14:
-        raise ValidationError("product-rotation readout is limited to short chains")
-    full = enumerate_basis(ChainGeometry(n, max_adjacent_pairs=max(n - 1, 0)))
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    single = np.array([[c, -1j * s], [-1j * s, c]])
-    rotation = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        rotation = np.kron(rotation, single)
-
-    def apply(psi):
-        vec = np.zeros(full.dim, dtype=complex)
-        vec[psi.space.configs] = psi.amplitudes  # config value == full-basis index
-        return StateVector(full, rotation @ vec)
-
-    return apply
 
 
 # ---------------------------------------------------------------------------

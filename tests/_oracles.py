@@ -207,3 +207,34 @@ def random_ghz_like_density_matrix(rng, dim, i_a, i_abar):
     ghz[i_abar] = np.exp(1j * phi) / np.sqrt(2.0)
     rho = (1.0 - w) * rho + w * np.outer(ghz, ghz.conj())
     return rho
+
+
+def ideal_rotation_readout(basis):
+    """Noninteracting product rotation, for readout substitution tests.
+
+    Embeds the state into the unconstrained configuration space and applies
+    exp(-i (pi/4) sigma_x), a pi/2 rotation, on every site.  The scan takes
+    a readout as a map between the package's state vectors, so this one
+    returns a StateVector over the unconstrained Basis.  Only practical for
+    small chains (2^N amplitudes).
+    """
+    from rydghz.basis import ChainGeometry, enumerate_basis
+    from rydghz.errors import ValidationError
+    from rydghz.propagate import StateVector
+
+    n = basis.n_sites
+    if n > 14:
+        raise ValidationError("product-rotation readout is limited to short chains")
+    full = enumerate_basis(ChainGeometry(n, max_adjacent_pairs=max(n - 1, 0)))
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    single = np.array([[c, -1j * s], [-1j * s, c]])
+    rotation = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        rotation = np.kron(rotation, single)
+
+    def apply(psi):
+        vec = np.zeros(full.dim, dtype=complex)
+        vec[psi.space.configs] = psi.amplitudes  # config value == full-basis index
+        return StateVector(full, rotation @ vec)
+
+    return apply

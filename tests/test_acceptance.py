@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
+from rydghz.basis import ChainGeometry, enumerate_basis
 from rydghz.controls import CrabExpansion, Pulse, Waveform
 from rydghz.detection import (
     DetectionModel,

@@ -22,7 +22,17 @@ def _unused_module_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+# The package, the tests and the demos.  Package files keep their bare
+# names as test ids; the others are named by folder.
+_SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
+    p for folder in ("tests", "demos") for p in (PACKAGE.parent.parent / folder).glob("*.py")
+)
+
+
+@pytest.mark.parametrize(
+    "path", _SOURCES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_module_level_imports(path):
     unused = _unused_module_imports(ast.parse(path.read_text(), filename=str(path)))
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"

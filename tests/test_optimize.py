@@ -14,10 +14,8 @@ from rydghz.hamiltonian import LocalShifts, build_hamiltonian, build_terms
 from rydghz.optimize import (
     DcrabConfig,
     FigureOfMerit,
-    GateCircuitEstimate,
     PreparationSimulator,
     RampSpec,
-    Schedule,
     diabaticity_schedule,
     diabaticity_weight,
     eigenpopulation_trace,
@@ -31,7 +29,6 @@ from rydghz.propagate import (
     DEGENERACY_TOL,
     SampledEvolution,
     StateVector,
-    basis_state,
     ghz_state,
     ground_state,
 )

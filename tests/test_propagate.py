@@ -230,6 +230,153 @@ def test_krylov_apply_full_dimension():
         krylov_expm_apply(lambda x: h @ x, v, 0.5, max_dim=dim - 1)
 
 
+class TestDriveProduct:
+    """drive_matvec against scipy's own product on every input it serves."""
+
+    @staticmethod
+    def _check(matvec, coupling, omega, diag, x):
+        got = matvec(x)
+        expected = omega * (coupling @ x) + diag * x
+        assert got.dtype == expected.dtype
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        # A new array on every call, which the Lanczos recurrence may overwrite.
+        again = matvec(x)
+        assert again is not got and not np.shares_memory(again, got)
+        assert not np.shares_memory(got, x)
+
+    @staticmethod
+    def _engine(space_kind):
+        basis = enumerate_basis(ChainGeometry(8))
+        terms = build_terms(basis)
+        space = symmetry_sector(basis, "even") if space_kind == "sector" else basis
+        return SampledEvolution(space, terms, LocalShifts.preparation_default(8))
+
+    @pytest.mark.parametrize("space_kind", ["sector", "full"])
+    def test_engine_matvec(self, space_kind):
+        engine = self._engine(space_kind)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(engine.space.dim) + 1j * rng.standard_normal(engine.space.dim)
+        omega, delta = mhz_to_angular(3.5), mhz_to_angular(-6.0)
+        self._check(engine.matvec_at(omega, delta), engine.coupling, omega,
+                    engine.static_diag - delta * engine.excitations, x)
+
+    def test_direct_sum_with_per_row_controls(self):
+        engine = self._engine("sector")
+        dim = engine.space.dim
+        stacked = engine._direct_sum(3)
+        omegas = np.repeat(mhz_to_angular(np.array([1.0, 4.0, 5.5])), dim)
+        deltas = np.repeat(mhz_to_angular(np.array([-9.0, 0.5, 12.0])), dim)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(3 * dim) + 1j * rng.standard_normal(3 * dim)
+        self._check(stacked.matvec_at(omegas, deltas), stacked.coupling, omegas,
+                    stacked.static_diag - deltas * stacked.excitations, x)
+        got = stacked.matvec_at(omegas, deltas)(x)
+        for k in range(3):
+            rows = slice(k * dim, (k + 1) * dim)
+            one = engine.matvec_at(omegas[k * dim], deltas[k * dim])(x[rows])
+            assert np.abs(got[rows] - one).max() <= 1e-14 * np.abs(one).max()
+
+    def test_dimer_complex_coupling(self):
+        from rydghz.protocols import _dimer_operators
+
+        coupling, diagonal, _ = _dimer_operators(3, mhz_to_angular(24.0), mhz_to_angular(0.375))
+        assert coupling.dtype == complex
+        x = np.random.default_rng(3).standard_normal(coupling.shape[0]) + 0.5j
+        omega = mhz_to_angular(5.0)
+        self._check(propagate.drive_matvec(coupling, omega, diagonal), coupling, omega,
+                    diagonal, x)
+
+    def test_real_solver_coupling_keeps_real_vectors_real(self):
+        engine = self._engine("sector")
+        coupling = engine.solver_coupling
+        assert coupling.dtype == float  # _check pins a real output for it
+        diag = engine.static_diag - mhz_to_angular(2.0) * engine.excitations
+        x = np.random.default_rng(4).standard_normal(engine.space.dim)
+        matvec = propagate.drive_matvec(coupling, mhz_to_angular(3.0), diag)
+        self._check(matvec, coupling, mhz_to_angular(3.0), diag, x)
+
+
+class TestLanczosKernel:
+    """krylov_expm_apply and krylov_dense_output against scipy.linalg.expm."""
+
+    @staticmethod
+    def _real_hamiltonian():
+        terms = build_terms(enumerate_basis(ChainGeometry(8)))
+        diag = terms.static_diagonal(LocalShifts.preparation_default(8))
+        return mhz_to_angular(4.0) * terms.coupling.toarray() + np.diag(diag)
+
+    @staticmethod
+    def _start(dim, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("dt", [0.01, -0.03])
+    def test_step_matches_expm(self, kind, dt):
+        h = self._real_hamiltonian() if kind == "real" else _complex_chain_hamiltonian(8)
+        assert np.allclose(h, h.conj().T)
+        v = self._start(h.shape[0], seed=7)
+        got, m = krylov_expm_apply(lambda x: h @ x, v, dt)
+        ref = scipy.linalg.expm(-1j * dt * h) @ v
+        assert np.abs(got - ref).max() <= 1e-12
+        assert 3 <= m < h.shape[0]
+
+    def test_multi_time_dense_output_matches_expm(self):
+        h = _complex_chain_hamiltonian(8)
+        v = self._start(h.shape[0], seed=8)
+        times = (0.004, 0.011, -0.007, 0.02)
+        basis, coeffs = krylov_dense_output(lambda x: h @ x, v, times)
+        assert coeffs.shape == (len(times), basis.shape[0])
+        for t, row in zip(times, coeffs):
+            ref = scipy.linalg.expm(-1j * t * h) @ v
+            assert np.abs(row @ basis - ref).max() <= 1e-12
+
+    def test_eigenvector_start_exits_at_one_vector(self):
+        # The last state is uncoupled, so its first residual is exactly zero.
+        h = scipy.linalg.block_diag(self._real_hamiltonian(), [[2.5]])
+        v = np.zeros(h.shape[0], dtype=complex)
+        v[-1] = 0.6 - 0.8j
+        got, m = krylov_expm_apply(lambda x: h @ x, v, 0.05)
+        assert m == 1
+        assert np.abs(got - np.exp(-0.05j * 2.5) * v).max() <= 1e-15
+        basis, coeffs = krylov_dense_output(lambda x: h @ x, v, (0.01, 0.05))
+        assert basis.shape[0] == 1 and coeffs.shape == (2, 1)
+
+    def test_one_state_space(self):
+        h = np.array([[3.7]])
+        v = np.array([0.6 + 0.8j])
+        for dt in (0.2, -1.3):
+            got, m = krylov_expm_apply(lambda x: h @ x, v, dt)
+            assert m == 1
+            assert np.abs(got - np.exp(-1j * dt * 3.7) * v).max() <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["strided", "real"])
+    def test_matvec_output_layout_does_not_matter(self, layout):
+        # BLAS wrappers copy an output that is not contiguous complex128;
+        # the recurrence must use the copy, not lose the update.  From a
+        # real start under a real H every Lanczos vector is real, so the
+        # "real" matvec may drop the zero imaginary part.
+        h = self._real_hamiltonian()
+        v = self._start(h.shape[0], seed=9).real.copy()
+        if layout == "strided":
+            def matvec(x):
+                return np.repeat(h @ x, 2)[::2]
+        else:
+            def matvec(x):
+                return h @ x.real
+        got, _ = krylov_expm_apply(matvec, v, 0.01)
+        ref = scipy.linalg.expm(-0.01j * h) @ v
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_tridiagonal_solver_failure_raises(self, monkeypatch):
+        h = self._real_hamiltonian()
+        v = self._start(h.shape[0], seed=10)
+        monkeypatch.setattr(propagate, "_dstev", lambda d, e: (d, None, 2))
+        with pytest.raises(PropagationError, match="dstev"):
+            krylov_expm_apply(lambda x: h @ x, v, 0.01)
+
+
 def test_run_samples_controls_once(monkeypatch):
     basis = enumerate_basis(ChainGeometry(6))
     terms = build_terms(basis)

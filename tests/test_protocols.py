@@ -28,7 +28,6 @@ from rydghz.propagate import (
     ground_state,
 )
 from rydghz.protocols import (
-    CoherenceBound,
     apply_ux,
     bell_distribution_protocol,
     bounded_ghz_decomposition,
@@ -40,7 +39,6 @@ from rydghz.protocols import (
     exact_ghz_decomposition,
     fit_fixed_frequency,
     g2_correlations,
-    ideal_rotation_readout,
     optimal_ux_duration,
     parity_expectation,
     parity_oscillation_scan,
@@ -50,6 +48,7 @@ from rydghz.units import TWO_PI
 from _oracles import (
     constant_drive_propagator,
     dense_hamiltonian,
+    ideal_rotation_readout,
     random_ghz_like_density_matrix,
 )
 
