@@ -103,25 +103,7 @@ class HamiltonianTerms:
         self.bond_factors = bond_factors
         self.coupling = drive_coupling(basis)
         self.excitations = basis.excitations.astype(float)
-        self.interaction_diagonal = self._build_interaction()
-
-    def _build_interaction(self):
-        basis = self.basis
-        bits = basis.bits_matrix().astype(float)
-        n = basis.n_sites
-        diag = np.zeros(basis.dim)
-        v_rad = mhz_to_angular(self.v_mhz)
-        for d in range(1, basis.geometry.interaction_range + 1):
-            if d > n - 1:
-                break
-            strength = v_rad / d**6
-            for i in range(n - d):
-                pair = bits[:, i] * bits[:, i + d]
-                if d == 1 and self.bond_factors is not None:
-                    diag += strength * self.bond_factors[i] * pair
-                else:
-                    diag += strength * pair
-        return diag
+        self.interaction_diagonal = interaction_diagonal(basis, self.v_mhz, bond_factors)
 
     def number_diagonal(self, site):
         """Diagonal of n_i for 1-based site index."""
@@ -144,6 +126,27 @@ class HamiltonianTerms:
     def static_is_reflection_symmetric(self, shifts=None):
         """Whether the static diagonal is invariant under the chain reflection."""
         return self.basis.symmetric_under_reflection(self.static_diagonal(shifts))
+
+
+def interaction_diagonal(basis, v_mhz, bond_factors):
+    """The van der Waals diagonal sum_{i<j} V/|i-j|^6 n_i n_j in rad/us,
+    out to the geometry's interaction range; bond_factors (or None) scale
+    the nearest-neighbor bonds one by one."""
+    bits = basis.bits_matrix().astype(float)
+    n = basis.n_sites
+    diag = np.zeros(basis.dim)
+    v_rad = mhz_to_angular(v_mhz)
+    for d in range(1, basis.geometry.interaction_range + 1):
+        if d > n - 1:
+            break
+        strength = v_rad / d**6
+        for i in range(n - d):
+            pair = bits[:, i] * bits[:, i + d]
+            if d == 1 and bond_factors is not None:
+                diag += strength * bond_factors[i] * pair
+            else:
+                diag += strength * pair
+    return diag
 
 
 def build_terms(basis, v_mhz=V_NN_DEFAULT_MHZ, bond_factors=None):

@@ -2,9 +2,12 @@
 
 Doppler shifts and trap-position spread are frozen per experimental shot,
 so both are modeled as quenched draws: Gaussian per-site detuning offsets
-and lognormal nearest-neighbor interaction multipliers. Scattering and
-Rydberg decay enter as a global survival weight rather than trajectory
-jumps; results that use the weight say so in their metadata.
+and lognormal nearest-neighbor interaction multipliers. A draw changes
+only the static diagonal of the chain Hamiltonian, so a noisy
+preparation evolves its realizations together as one direct-sum run,
+one copy per realization. Scattering and Rydberg decay enter as a global
+survival weight rather than trajectory jumps; results that use the
+weight say so in their metadata.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .fileio import TableData
-from .hamiltonian import HamiltonianTerms, LocalShifts
+from .hamiltonian import LocalShifts, interaction_diagonal
 from .propagate import DEFAULT_DT_US, SampledEvolution, StateVector, ground_state, step_grid
 from .protocols import exact_ghz_decomposition
 from .units import TWO_PI
@@ -25,6 +28,9 @@ from .units import TWO_PI
 # or erasing the blockade outright.
 BOND_FACTOR_RANGE = (0.5, 2.0)
 DEFAULT_REALIZATIONS = 256
+# Rows (realizations x basis dimension) of one stacked noisy run: its
+# Lanczos basis holds at most KRYLOV_MAX_DIM x _STACK_ROWS amplitudes.
+_STACK_ROWS = 4096
 
 _SURVIVAL_NOTE = (
     "scattering and lifetime decay applied as a global survival weight"
@@ -257,14 +263,19 @@ def noisy_preparation(pulse, terms, model, shifts=None,
                       n_realizations=DEFAULT_REALIZATIONS, dt=DEFAULT_DT_US):
     """Preparation fidelity distribution under quenched disorder and decay.
 
-    Every realization rebuilds the Hamiltonian with its own detuning
-    offsets and bond multipliers and evolves the ground state through the
-    full pulse in the unsymmetrized space (disorder breaks reflection).
+    Disorder changes only the static diagonal: each realization's detuning
+    offsets and bond multipliers give its own interaction and shift
+    diagonal under the shared drive coupling.  The realizations evolve
+    from the ground state through the full pulse in the unsymmetrized
+    space (disorder breaks reflection), as one direct-sum run of up to
+    _STACK_ROWS rows at a time, one copy per realization
+    (SampledEvolution._direct_sum); the Krylov error of any one
+    realization is then at most KRYLOV_TOL * sqrt(copies) per step.
     The lifetime weight integrates the mean excitation over the pulse;
     the scattering weight uses N/2 atoms for the whole duration.
     """
     basis = terms.basis
-    n = basis.n_sites
+    n, dim = basis.n_sites, basis.dim
     base_shifts = shifts if shifts is not None else LocalShifts.none(n)
     base_factors = (
         np.asarray(terms.bond_factors, dtype=float)
@@ -279,29 +290,38 @@ def noisy_preparation(pulse, terms, model, shifts=None,
     # The lifetime integral sums over the run's own steps; a pulse of zero
     # duration takes none.
     h = step_grid(pulse.tau, dt)[1] if pulse.tau > 0 else 0.0
+    engine = SampledEvolution(basis, terms, base_shifts)
+    per_stack = max(1, _STACK_ROWS // dim)
 
     decomps = []
     fidelities = np.empty(count)
     survivals = np.empty(count)
-    for k in range(count):
-        offsets, multipliers = disorder_realization(model, basis.geometry, k)
-        terms_k = HamiltonianTerms(basis, terms.v_mhz, bond_factors=base_factors * multipliers)
-        engine = SampledEvolution(basis, terms_k, base_shifts.plus(offsets))
+    for first in range(0, count, per_stack):
+        stacked = range(first, min(first + per_stack, count))
+        diags = []
+        for k in stacked:
+            offsets, multipliers = disorder_realization(model, basis.geometry, k)
+            diags.append(
+                interaction_diagonal(basis, terms.v_mhz, base_factors * multipliers)
+                - terms.shift_diagonal(base_shifts.plus(offsets))
+            )
+        excitation_time = np.zeros(len(stacked))
 
-        excitation_time = [0.0]
+        def accumulate(_t, amps, _acc=excitation_time, _copies=len(stacked)):
+            _acc += (np.abs(amps.reshape(_copies, dim)) ** 2 @ terms.excitations) * h
 
-        def accumulate(_t, amps, _acc=excitation_time, _exc=terms_k.excitations):
-            _acc[0] += float(_exc @ np.abs(amps) ** 2) * h
-
-        amps = engine.run(start, pulse, dt=dt, observer=accumulate)
-        survival = math.exp(
-            -excitation_time[0] / model.rydberg_lifetime_us
-            - pulse.tau * 0.5 * n / model.scattering_time_us
-        )
-        decomp = exact_ghz_decomposition(StateVector(basis, amps))
-        decomps.append(decomp)
-        survivals[k] = survival
-        fidelities[k] = survival * decomp.fidelity
+        amps = engine._direct_sum(diags).run(
+            np.tile(start, len(stacked)), pulse, dt=dt, observer=accumulate
+        ).reshape(len(stacked), dim)
+        for k, row, excited in zip(stacked, amps, excitation_time.tolist()):
+            survival = math.exp(
+                -excited / model.rydberg_lifetime_us
+                - pulse.tau * 0.5 * n / model.scattering_time_us
+            )
+            decomp = exact_ghz_decomposition(StateVector(basis, row))
+            decomps.append(decomp)
+            survivals[k] = survival
+            fidelities[k] = survival * decomp.fidelity
 
     stderr = float(fidelities.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return NoisyPreparationResult(

@@ -17,10 +17,12 @@ the recurrence updates it in place with BLAS level 1 (zaxpy, zdotc); and
 the small tridiagonal is solved by LAPACK dstev.
 The same Lanczos loop gives dense output under a constant generator:
 one basis yields exp(-i t H) v at every requested time it reaches, and a
-single step is its one-time case.  Independent pulses on one step grid
+single step is its one-time case.  Independent runs on one step grid
 run as one evolution of their direct sum, since exp(-i h (+)_k H_k) is
-(+)_k exp(-i h H_k): one Lanczos basis per step serves them all.
-Diagonal generators are advanced with exact phases.
+(+)_k exp(-i h H_k): one Lanczos basis per step serves them all.  Each
+copy of the direct sum has its own static diagonal, so it stacks K
+pulses under one diagonal as well as one pulse under K diagonals (the
+quenched disorder realizations of noise.noisy_preparation).
 """
 
 import math
@@ -258,7 +260,9 @@ class SampledEvolution:
     or, when the coupling and every diagonal term are reflection symmetric,
     on a SymmetrizedBasis: the one place the pieces are reduced into a sector.
     K pulses that share a step grid run as one evolution of the direct sum
-    of K copies (see run).
+    of K copies (see run); _direct_sum builds such a sum with one static
+    diagonal per copy, and running one pulse on it evolves K Hamiltonians
+    that differ only in that diagonal.
     """
 
     def __init__(self, space, terms, shifts=None, coupling=None):
@@ -292,19 +296,26 @@ class SampledEvolution:
         return drive_matvec(self.coupling, omega_rad,
                             self.static_diag - delta_rad * self.excitations)
 
-    def _direct_sum(self, k):
-        """The engine of k uncoupled copies of this one, kept per k: a
-        block-diagonal coupling and tiled diagonals, so one stacked vector
-        carries k states and per-row omega and delta arrays drive them."""
-        engine = self._direct_sums.get(k)
-        if engine is None:
-            engine = object.__new__(SampledEvolution)
-            engine.space, engine.terms = self.space, self.terms
-            engine.coupling = sparse.block_diag([self.coupling] * k, format="csr")
-            engine.static_diag = np.tile(self.static_diag, k)
-            engine.excitations = np.tile(self.excitations, k)
-            engine._direct_sums = {}
-            self._direct_sums[k] = engine
+    def _direct_sum(self, static_diags):
+        """The engine of K uncoupled copies of this one, copy k with the
+        static diagonal static_diags[k]: a block-diagonal coupling and
+        stacked diagonals, so one stacked vector of K * dim rows carries K
+        states, and scalar or per-row omega and delta arrays drive them.
+        Nothing is kept; run keeps the pulse stack's sums per K."""
+        k = len(static_diags)
+        coupling, dim = self.coupling, self.coupling.shape[0]
+        # The arrays sparse.block_diag would give, without its COO round trip.
+        offsets = np.arange(k)[:, None]
+        indptr = np.concatenate(([0], (coupling.indptr[1:] + coupling.nnz * offsets).ravel()))
+        indices = (coupling.indices + dim * offsets).ravel()
+        engine = object.__new__(SampledEvolution)
+        engine.space, engine.terms = self.space, self.terms
+        engine.coupling = sparse.csr_matrix(
+            (np.tile(coupling.data, k), indices, indptr), shape=(k * dim, k * dim)
+        )
+        engine.static_diag = np.concatenate(static_diags)
+        engine.excitations = np.tile(self.excitations, k)
+        engine._direct_sums = {}
         return engine
 
     def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, observer=None, observer_stride=1):
@@ -313,19 +324,22 @@ class SampledEvolution:
         `pulse` may be a sequence of K pulses instead.  They must share one
         step grid (the same number of steps of the same length; anything
         else raises ValidationError) and run as one evolution of the direct
-        sum of K copies of H, each copy driven by its own pulse's controls:
-        one Krylov step per dt advances all K states from the one start
-        `amplitudes`.  The result, like the observer's argument, is then a
-        (K, dim) array.  The Krylov tolerance applies to the stacked
-        vector's norm, sqrt(K) for a unit start, so a step's error in any
-        one row is at most KRYLOV_TOL * sqrt(K).  A one-pulse sequence takes
-        the single-pulse path, bit for bit.
+        sum of K copies of this engine (kept per K), each copy driven by its
+        own pulse's controls: one Krylov step per dt advances all K states
+        from the one start `amplitudes`.  The result, like the observer's
+        argument, is then a (K, dim) array.  A one-pulse sequence takes the
+        single-pulse path, bit for bit.  On an engine from _direct_sum, one
+        pulse drives every copy from a stacked start of K * dim amplitudes,
+        and the result is the stacked vector.  Either way the Krylov
+        tolerance applies to the stacked vector's norm, sqrt(K) for unit
+        starts, so a step's error in any one copy is at most
+        KRYLOV_TOL * sqrt(K).
         """
         stack = isinstance(pulse, Sequence)
         pulses = list(pulse) if stack else [pulse]
         if not pulses:
             raise ValidationError("need at least one pulse")
-        k, dim = len(pulses), self.space.dim
+        k, dim = len(pulses), self.static_diag.size
         shape = (k, dim) if stack else (dim,)
         amps = np.tile(np.asarray(amplitudes, dtype=complex), k)
         grids = {None if p.tau == 0.0 else step_grid(p.tau, dt) for p in pulses}
@@ -345,7 +359,9 @@ class SampledEvolution:
             engine = self
             controls = zip(samples[0][0].tolist(), samples[0][1].tolist())
         else:
-            engine = self._direct_sum(k)
+            engine = self._direct_sums.get(k)
+            if engine is None:
+                engine = self._direct_sums[k] = self._direct_sum([self.static_diag] * k)
             omegas = np.array([omega for omega, _ in samples]).T
             deltas = np.array([delta for _, delta in samples]).T
             controls = (
@@ -395,16 +411,6 @@ def evolve(psi, pulse, terms, shifts=None, dt=DEFAULT_DT_US):
         return StateVector(space, engine.run(psi.amplitudes, pulse, dt=dt))
     amps = engine.run(space.to_sector(psi.amplitudes), pulse, dt=dt)
     return StateVector(psi.space, space.from_sector(amps))
-
-
-def evolve_under_diagonal(psi, generator_diag, duration):
-    """Exact phases exp(-i g T) for a diagonal generator in rad/us."""
-    g = np.asarray(generator_diag, dtype=float)
-    if isinstance(psi.space, SymmetrizedBasis) and g.shape == (psi.space.basis.dim,):
-        g = psi.space.reduce_diagonal(g)
-    if g.shape != (psi.space.dim,):
-        raise ValidationError("generator diagonal does not match the state space")
-    return StateVector(psi.space, psi.amplitudes * np.exp(-1j * g * duration))
 
 
 @dataclass

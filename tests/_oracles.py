@@ -238,3 +238,18 @@ def ideal_rotation_readout(basis):
         return StateVector(full, rotation @ vec)
 
     return apply
+
+
+def evolve_under_diagonal(psi, generator_diag, duration):
+    """Exact phases exp(-i g T) for a diagonal generator in rad/us; a
+    full-basis generator is reduced onto a sector state's space."""
+    from rydghz.basis import SymmetrizedBasis
+    from rydghz.errors import ValidationError
+    from rydghz.propagate import StateVector
+
+    g = np.asarray(generator_diag, dtype=float)
+    if isinstance(psi.space, SymmetrizedBasis) and g.shape == (psi.space.basis.dim,):
+        g = psi.space.reduce_diagonal(g)
+    if g.shape != (psi.space.dim,):
+        raise ValidationError("generator diagonal does not match the state space")
+    return StateVector(psi.space, psi.amplitudes * np.exp(-1j * g * duration))

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gaussian_coherence_modulus
+from _oracles import evolve_under_diagonal, gaussian_coherence_modulus
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
 from rydghz.controls import standard_guess_pulse
 from rydghz.errors import FitError, ValidationError
 from rydghz.hamiltonian import LocalShifts, build_terms
+from rydghz import noise
 from rydghz.noise import (
     BOND_FACTOR_RANGE,
     CoherenceDecay,
@@ -22,7 +23,6 @@ from rydghz.noise import (
 from rydghz.propagate import (
     SampledEvolution,
     StateVector,
-    evolve_under_diagonal,
     ghz_state,
     ground_state,
 )
@@ -292,13 +292,46 @@ class TestNoisyPreparation:
         )
         result = noisy_preparation(pulse, terms, silent, shifts=shifts, n_realizations=3,
                                    dt=0.002)
+        # The realizations run as one direct sum; without noise every copy's
+        # diagonal is the engine's own, bit for bit, as in a stack of three
+        # noiseless pulses, so realization k equals stacked row k exactly.
+        # (Rows of one stack may differ from each other at rounding level.)
         reference = SampledEvolution(basis, terms, shifts).run(
-            ground_state(basis).amplitudes, pulse, dt=0.002
+            ground_state(basis).amplitudes, [pulse] * 3, dt=0.002
         )
-        fidelity = exact_ghz_decomposition(StateVector(basis, reference)).fidelity
-        assert np.all(result.fidelities == fidelity)
+        fidelities = np.array([exact_ghz_decomposition(StateVector(basis, row)).fidelity
+                               for row in reference])
+        assert np.all(result.fidelities == fidelities)
         assert np.all(result.survivals == 1.0)
-        assert result.mean_fidelity == pytest.approx(fidelity, abs=1e-15)
+        assert result.mean_fidelity == pytest.approx(fidelities[0], abs=1e-15)
+
+    def test_stacked_realizations_match_single_runs(self):
+        # More realizations than one stack holds, so the run is split.
+        basis = enumerate_basis(ChainGeometry(8))
+        terms = build_terms(basis)
+        shifts = LocalShifts.preparation_default(8)
+        pulse = standard_guess_pulse(0.3)
+        model = NoiseModel(seed=4)
+        count = noise._STACK_ROWS // basis.dim + 3
+        result = noisy_preparation(pulse, terms, model, shifts=shifts, n_realizations=count,
+                                   dt=0.005)
+        start = ground_state(basis).amplitudes
+        for k in range(count):
+            offsets, multipliers = disorder_realization(model, basis.geometry, k)
+            terms_k = build_terms(basis, bond_factors=multipliers)
+            excited = []
+
+            def accumulate(_t, amps, _exc=terms_k.excitations):
+                excited.append(float(_exc @ np.abs(amps) ** 2) * 0.005)
+
+            amps = SampledEvolution(basis, terms_k, shifts.plus(offsets)).run(
+                start, pulse, dt=0.005, observer=accumulate
+            )
+            survival = math.exp(-sum(excited) / model.rydberg_lifetime_us
+                                - pulse.tau * 4.0 / model.scattering_time_us)
+            fidelity = exact_ghz_decomposition(StateVector(basis, amps)).fidelity
+            assert result.survivals[k] == pytest.approx(survival, abs=1e-10)
+            assert result.fidelities[k] == pytest.approx(survival * fidelity, abs=1e-10)
 
     def test_noiseless_bounds_noisy_mean(self, chain4):
         basis, terms, shifts = chain4

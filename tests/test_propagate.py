@@ -18,7 +18,6 @@ from rydghz.propagate import (
     basis_state,
     evolution_space,
     evolve,
-    evolve_under_diagonal,
     ghz_state,
     ground_state,
     krylov_dense_output,
@@ -27,7 +26,7 @@ from rydghz.propagate import (
 )
 from rydghz.units import TWO_PI, mhz_to_angular
 
-from _oracles import classical_diagonal_energies, dense_evolve
+from _oracles import classical_diagonal_energies, dense_evolve, evolve_under_diagonal
 
 
 def _random_crab_pulse(tau, seed):
@@ -263,18 +262,32 @@ class TestDriveProduct:
     def test_direct_sum_with_per_row_controls(self):
         engine = self._engine("sector")
         dim = engine.space.dim
-        stacked = engine._direct_sum(3)
+        rng = np.random.default_rng(2)
+        diags = [engine.static_diag + rng.normal(0.0, 3.0, dim) for _ in range(3)]
+        stacked = engine._direct_sum(diags)
         omegas = np.repeat(mhz_to_angular(np.array([1.0, 4.0, 5.5])), dim)
         deltas = np.repeat(mhz_to_angular(np.array([-9.0, 0.5, 12.0])), dim)
-        rng = np.random.default_rng(2)
         x = rng.standard_normal(3 * dim) + 1j * rng.standard_normal(3 * dim)
         self._check(stacked.matvec_at(omegas, deltas), stacked.coupling, omegas,
                     stacked.static_diag - deltas * stacked.excitations, x)
         got = stacked.matvec_at(omegas, deltas)(x)
         for k in range(3):
             rows = slice(k * dim, (k + 1) * dim)
-            one = engine.matvec_at(omegas[k * dim], deltas[k * dim])(x[rows])
-            assert np.abs(got[rows] - one).max() <= 1e-14 * np.abs(one).max()
+            one = propagate.drive_matvec(engine.coupling, omegas[k * dim],
+                                         diags[k] - deltas[k * dim] * engine.excitations)
+            expected = one(x[rows])
+            assert np.abs(got[rows] - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_only_the_pulse_stack_is_kept(self):
+        engine = self._engine("sector")
+        start = np.zeros(engine.space.dim, dtype=complex)
+        start[0] = 1.0
+        engine._direct_sum([engine.static_diag] * 2)
+        assert engine._direct_sums == {}
+        engine.run(start, [standard_guess_pulse(0.05)] * 2, dt=0.01)
+        kept = engine._direct_sums[2]
+        engine.run(start, [standard_guess_pulse(0.05)] * 2, dt=0.01)
+        assert list(engine._direct_sums) == [2] and engine._direct_sums[2] is kept
 
     def test_dimer_complex_coupling(self):
         from rydghz.protocols import _dimer_operators

@@ -23,7 +23,6 @@ from rydghz.propagate import (
     StateVector,
     basis_state,
     evolve,
-    evolve_under_diagonal,
     ghz_state,
     ground_state,
 )
@@ -48,6 +47,7 @@ from rydghz.units import TWO_PI
 from _oracles import (
     constant_drive_propagator,
     dense_hamiltonian,
+    evolve_under_diagonal,
     ideal_rotation_readout,
     random_ghz_like_density_matrix,
 )
