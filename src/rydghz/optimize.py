@@ -49,7 +49,7 @@ RAMP_KINDS = ("linear", "local_adiabatic", "optimal_control")
 SIMPLEX_COEFFICIENTS = (1.0, 2.0, 0.5, 0.5)
 # The diabatic weight's MINRES solve at each schedule point: its stopping
 # tolerance (scipy's rtol, on |r| / (|A| |x|)), its iteration cap, and the
-# largest true residual |r| / |b| it may return.
+# largest true residual |r| / |dH/ds psi_0| it may return.
 MINRES_TOL = 1e-10
 MINRES_MAX_ITER = 1000
 MINRES_RESIDUAL_BOUND = 1e-6
@@ -543,13 +543,18 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
     sqrt(sum_n |<E_n|dH/ds|E_0>|^2 / (E_n - E_0)^2) over every excited
     state, with no eigenstate cut: the ground state's Fubini-Study speed
     (Kolodrubetz, Sels, Mehta & Polkovnikov, Phys. Rep. 697, 1 (2017)).
-    Each grid point takes the ground pair from lowest_spectrum and x from
-    one MINRES solve (Paige & Saunders, SIAM J. Numer. Anal. 12, 617
-    (1975)) on the operator of the space evolution_space picks for the
-    all-ground start.  dH/ds follows analytically from the ramp
-    parametrization.  A degenerate ground state raises
-    ScheduleSingularityError, because the weight diverges at a true
-    crossing.
+    Each grid point takes psi_0 and E_0 alone from lowest_spectrum, by
+    ARPACK's Lanczos solver started from the previous grid point's ground
+    vector (the first from the uniform vector), and x from one MINRES
+    solve (Paige & Saunders, SIAM J. Numer. Anal. 12, 617 (1975)) on the
+    operator of the space evolution_space picks for the all-ground start.
+    dH/ds follows analytically from the ramp parametrization.
+    No second level is computed: the weight is defined wherever the
+    deflated system is consistent, a degenerate ground cluster included
+    when dH/ds is constant on it (the Omega = 0 end of the sweep, where
+    dH/ds = -Delta' n).  A level degenerate with psi_0 that dH/ds couples
+    to makes the system inconsistent, and the weight diverges there:
+    _deflated_solve raises ScheduleSingularityError.
 
     Returns (s_grid, weights).
     """
@@ -561,15 +566,12 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
     engine = SampledEvolution(evolution_space(terms, shifts, start), terms, shifts)
     coupling = engine.solver_coupling
     delta_slope_rad = mhz_to_angular(spec.delta_slope_mhz())
+    ground = np.full(engine.space.dim, 1.0 / np.sqrt(engine.space.dim))
     weights = np.empty(s_grid.size)
     for i, s in enumerate(s_grid):
         omega_rad = mhz_to_angular(spec.omega_mhz(s))
         delta_rad = mhz_to_angular(spec.delta_mhz(s))
-        sl = lowest_spectrum(engine, omega_rad, delta_rad, 2, param=float(s))
-        if sl.ground_degeneracy > 1:
-            raise ScheduleSingularityError(
-                f"instantaneous gap vanishes at s = {s:.6f}", s_star=float(s)
-            )
+        sl = lowest_spectrum(engine, omega_rad, delta_rad, 1, param=float(s), start=ground)
         ground = sl.vectors[:, 0]
         b = (
             mhz_to_angular(spec.omega_slope_mhz(s)) * (coupling @ ground)
@@ -587,13 +589,21 @@ def diabaticity_weight(spec, terms, shifts=None, s_grid=None):
 def _deflated_solve(shifted, ground, b, s):
     """x = (H - E_0)^+ Q b by MINRES on Q (H - E_0) Q, Q = 1 - |g><g|.
 
-    `shifted` applies H - E_0.  b is projected twice: near Omega = 0,
-    dH/ds |g> is almost parallel to |g>, and one projection leaves a
-    rounding-level component along the operator's null direction that the
-    solve would amplify.  A solve that MINRES reports as unconverged, or
-    whose true residual |Q b - Q (H - E_0) Q x| exceeds MINRES_RESIDUAL_BOUND
-    relative to |Q b|, raises SpectralError: MINRES's own test is relative
-    to |A| |x|, and it also reports a least-squares solution as success.
+    `shifted` applies H - E_0, and b = dH/ds |g>.  b is projected twice:
+    near Omega = 0, b is almost parallel to |g>, and one projection leaves
+    a rounding-level component along the operator's null direction that
+    the solve would amplify.  MINRES stops on a test relative to |A| |x|,
+    and it reports a least-squares solution of an inconsistent system as
+    success, so the true residual |Q b - Q (H - E_0) Q x| is checked too,
+    relative to |b| before projection.  Q b carries rounding of order
+    eps |b|, so a test relative to |Q b| fails on rounding alone where
+    Q b vanishes, as at a degenerate Omega = 0 end; relative to |b| the
+    test still catches a degenerate partner level that b couples to, whose
+    component stays in the residual.  A solve that reaches
+    MINRES_MAX_ITER raises SpectralError.  A converged solve whose
+    residual exceeds MINRES_RESIDUAL_BOUND |b| is such an inconsistent
+    system, a vanishing gap that dH/ds couples across, and raises
+    ScheduleSingularityError at s.
     """
 
     def project(v):
@@ -602,14 +612,21 @@ def _deflated_solve(shifted, ground, b, s):
     def matvec(v):
         return project(shifted(project(v)))
 
+    scale = np.linalg.norm(b)
     b = project(project(b))
     op = LinearOperator((b.size, b.size), matvec=matvec, dtype=b.dtype)
     x, info = minres(op, b, rtol=MINRES_TOL, maxiter=MINRES_MAX_ITER)
     residual = np.linalg.norm(b - matvec(x))
-    if info != 0 or residual > MINRES_RESIDUAL_BOUND * np.linalg.norm(b):
+    if info != 0:
         raise SpectralError(
             f"MINRES missed its tolerance at s = {s:.6f} "
-            f"(info {info}, residual {residual:.3e} of |b| {np.linalg.norm(b):.3e})"
+            f"(info {info}, residual {residual:.3e} of |b| {scale:.3e})"
+        )
+    if residual > MINRES_RESIDUAL_BOUND * scale:
+        raise ScheduleSingularityError(
+            f"instantaneous gap vanishes at s = {s:.6f}: the deflated system is "
+            f"inconsistent (residual {residual:.3e} of |dH/ds psi_0| {scale:.3e})",
+            s_star=s,
         )
     return x
 

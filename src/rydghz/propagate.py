@@ -35,7 +35,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.linalg import blas, lapack
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .basis import SymmetrizedBasis, symmetry_sector
 from .errors import PropagationError, SpectralError, ValidationError
@@ -287,10 +287,14 @@ class SampledEvolution:
     @cached_property
     def solver_coupling(self):
         """The coupling as eigensolvers and linear solvers take it: a real
-        matrix when its imaginary part is all zero, else the complex one."""
+        matrix when its imaginary part is all zero, else the complex one.
+        The real values are copied out contiguous, since the compiled CSR
+        product would copy a strided view at every call."""
         if self.coupling.data.imag.any():
             return self.coupling
-        return self.coupling.real
+        real = self.coupling.real
+        real.data = np.ascontiguousarray(real.data)
+        return real
 
     def matvec_at(self, omega_rad, delta_rad):
         return drive_matvec(self.coupling, omega_rad,
@@ -436,14 +440,20 @@ class SpectrumSlice:
         return float(np.sum(self.overlaps[: self.ground_degeneracy]))
 
 
-def lowest_spectrum(engine, omega_rad, delta_rad, m, psi=None, param=0.0):
+def lowest_spectrum(engine, omega_rad, delta_rad, m, psi=None, param=0.0, start=None):
     """Lowest m eigenpairs of H(omega, delta) from a SampledEvolution's pieces.
 
     The spectrum lives in the engine's (possibly sector-reduced) space, with
     the operator the evolution uses; a coupling with zero imaginary part
-    reaches the solver as a real matrix.  Small problems are solved densely
-    for the m requested levels only; larger ones by a Lanczos eigensolver
-    from a deterministic start vector.
+    reaches the solver as a real operator.  Small problems are solved
+    densely for the m requested levels only.  Larger ones, and every call
+    given a `start` vector, go to ARPACK's Lanczos eigensolver, which
+    applies the engine's drive product (drive_matvec) and starts from
+    `start`, or from the deterministic uniform vector without one.  A start
+    close to the wanted eigenvectors, such as the ground vector of a nearby
+    control sample, is a warm start that ARPACK refines in one or two
+    Lanczos factorizations (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+    SIAM 1998).  A start needs m below the dimension.
     """
     if m < 1:
         raise ValidationError(f"need at least one eigenpair, got m={m}")
@@ -451,24 +461,28 @@ def lowest_spectrum(engine, omega_rad, delta_rad, m, psi=None, param=0.0):
     m = min(m, diag_dim)
     coupling = engine.solver_coupling
     diag = engine.static_diag - delta_rad * engine.excitations
-    lanczos = diag_dim > _DENSE_SPECTRUM_CUTOFF and m <= diag_dim // 2
-    # ARPACK misses an eigenvalue that is exactly zero with a basis vector
-    # as eigenvector, as the all-ground state's is at omega = 0; a
-    # Gershgorin shift puts the whole spectrum at 1 rad/us or above.
-    shift = 0.0
-    if lanczos:
-        shift = diag.min() - abs(omega_rad) * abs(coupling).sum(axis=1).max() - 1.0
-    h = omega_rad * coupling + sparse.diags(diag - shift)
+    lanczos = start is not None or (diag_dim > _DENSE_SPECTRUM_CUTOFF and m <= diag_dim // 2)
     if not lanczos:
+        h = omega_rad * coupling + sparse.diags(diag)
         evals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, m - 1])
+        shift = 0.0
     else:
-        v0 = np.full(diag_dim, 1.0 / np.sqrt(diag_dim))
+        # ARPACK misses an eigenvalue that is exactly zero with a basis
+        # vector as eigenvector, as the all-ground state's is at omega = 0;
+        # a Gershgorin shift puts the whole spectrum at 1 rad/us or above.
+        shift = diag.min() - abs(omega_rad) * abs(coupling).sum(axis=1).max() - 1.0
+        h = LinearOperator((diag_dim, diag_dim), dtype=coupling.dtype,
+                           matvec=drive_matvec(coupling, omega_rad, diag - shift))
+        if start is None:
+            start = np.full(diag_dim, 1.0 / np.sqrt(diag_dim))
         # ARPACK's default subspace (2m+1) stalls on the clustered spectra
-        # of weak drives.  20 vectors per pair, 40 to 128 in all, converge
-        # there, and 40 converge fastest for a ground pair.
-        ncv = min(diag_dim, max(2 * m + 1, min(128, max(40, 20 * m))))
+        # of weak drives.  20 vectors per level, up to 128, converge there:
+        # 40 converge fastest for a ground pair, and 20 for a ground state
+        # from a warm start.  The tolerance sits two orders below the 1e-10
+        # to which the diabatic weight built on these vectors is checked.
+        ncv = min(diag_dim, max(2 * m + 1, min(128, 20 * m)))
         try:
-            evals, vecs = eigsh(h, k=m, which="SA", v0=v0, tol=1e-10, ncv=ncv)
+            evals, vecs = eigsh(h, k=m, which="SA", v0=start, tol=1e-12, ncv=ncv)
         except ArpackNoConvergence as exc:
             raise SpectralError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(evals)

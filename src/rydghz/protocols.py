@@ -79,11 +79,6 @@ class GhzDecomposition:
         """Fidelity maximized over the target-state relative phase."""
         return (self.population_a + self.population_abar) / 2.0 + abs(self.coherence)
 
-    @property
-    def best_phase(self):
-        """Relative phase phi of the target (|A> + e^{i phi}|Abar>)/sqrt(2)."""
-        return float(-np.angle(self.coherence)) if self.coherence != 0 else 0.0
-
     def to_text(self):
         return report_text("rydghz-ghz-decomposition", [
             ("population_a", self.population_a),
@@ -626,40 +621,6 @@ def coherence_lower_bound(scan):
         amplitude=float(scan.amplitude),
         frequency_mhz=float(scan.frequency_mhz),
     )
-
-
-# ---------------------------------------------------------------------------
-# density-density correlations
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """g2(i,j) = <n_i n_j> - <n_i><n_j> and its distance average."""
-
-    matrix: np.ndarray
-    distances: np.ndarray
-    radial: np.ndarray
-
-
-def g2_correlations(source):
-    """Connected density correlations of a state vector or a shot set."""
-    if isinstance(source, StateVector):
-        psi = source.in_full_basis()
-        bits = psi.space.bits_matrix().astype(float)
-        probs = psi.populations()
-        mean = probs @ bits
-        second = (bits * probs[:, None]).T @ bits
-    else:
-        bits = source.bits.astype(float)
-        if bits.shape[0] < 1:
-            raise ValidationError("correlation needs at least one shot")
-        mean = bits.mean(axis=0)
-        second = bits.T @ bits / bits.shape[0]
-    matrix = second - np.outer(mean, mean)
-    n = matrix.shape[0]
-    distances = np.arange(1, n)
-    radial = np.array([np.mean(np.diagonal(matrix, d)) for d in distances])
-    return CorrelationResult(matrix=matrix, distances=distances, radial=radial)
 
 
 # ---------------------------------------------------------------------------

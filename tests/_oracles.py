@@ -253,3 +253,31 @@ def evolve_under_diagonal(psi, generator_diag, duration):
     if g.shape != (psi.space.dim,):
         raise ValidationError("generator diagonal does not match the state space")
     return StateVector(psi.space, psi.amplitudes * np.exp(-1j * g * duration))
+
+
+def ghz_best_phase(decomposition):
+    """Relative phase phi of the GHZ target (|A> + e^{i phi}|Abar>)/sqrt(2)
+    that a GhzDecomposition's coherence <A|rho|Abar> favours."""
+    coherence = decomposition.coherence
+    return float(-np.angle(coherence)) if coherence != 0 else 0.0
+
+
+def g2_correlations(source):
+    """Connected density correlations g2(i, j) = <n_i n_j> - <n_i><n_j> of
+    a state vector or a shot set, and their average over each distance
+    |i - j| = 1 .. N-1.  Returns (matrix, radial)."""
+    from rydghz.propagate import StateVector
+
+    if isinstance(source, StateVector):
+        psi = source.in_full_basis()
+        bits = psi.space.bits_matrix().astype(float)
+        probs = psi.populations()
+        mean = probs @ bits
+        second = (bits * probs[:, None]).T @ bits
+    else:
+        bits = source.bits.astype(float)
+        mean = bits.mean(axis=0)
+        second = bits.T @ bits / bits.shape[0]
+    matrix = second - np.outer(mean, mean)
+    radial = np.array([np.mean(np.diagonal(matrix, d)) for d in range(1, matrix.shape[0])])
+    return matrix, radial

@@ -139,6 +139,15 @@ class TestEvolve:
         assert str(pulse_path) in manifest.inputs
         assert manifest.inputs[str(pulse_path)] == sha256_of_file(pulse_path)
 
+    def test_local_adiabatic_without_shifts(self, outroot):
+        # The Omega = 0 end of the sweep has a degenerate ground cluster on
+        # which dH/ds is constant: the weight is defined there.
+        out = outroot / "evolve-adiabatic-none"
+        code = run("--threads", 1, "--seed", 1, "--out-dir", out, "evolve",
+                   "--n-sites", 8, "--ramp", "local_adiabatic", "--shifts", "none")
+        assert code == 0
+        assert (out / "evolve_report.txt").is_file()
+
     def test_exactly_one_source(self, outroot):
         assert run("--out-dir", outroot / "e1", "evolve", "--n-sites", 4) == 2
         assert run("--out-dir", outroot / "e2", "evolve", "--n-sites", 4,
@@ -365,6 +374,15 @@ class TestGlobalFlags:
     def test_invalid_threads(self, outroot):
         assert run("--threads", 0, "--out-dir", outroot / "t0", "evolve",
                    "--n-sites", 4, "--ramp", "linear") == 2
+
+    def test_singular_schedule_exits_with_numerical_code(self, outroot, monkeypatch,
+                                                        capsys):
+        # A zero residual bound flags every solve with rounding in its
+        # residual as an inconsistent deflated system: a vanishing gap.
+        monkeypatch.setattr(optimize, "MINRES_RESIDUAL_BOUND", 0.0)
+        assert run("--out-dir", outroot / "singular", "evolve", "--n-sites", 4,
+                   "--ramp", "local_adiabatic") == 3
+        assert "instantaneous gap vanishes" in capsys.readouterr().err
 
     def test_unconverged_schedule_solve_exits_with_numerical_code(self, outroot,
                                                                   monkeypatch):

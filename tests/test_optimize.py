@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rydghz import optimize
 from rydghz.basis import ChainGeometry, enumerate_basis, symmetry_sector
@@ -29,6 +30,7 @@ from rydghz.propagate import (
     DEGENERACY_TOL,
     SampledEvolution,
     StateVector,
+    drive_matvec,
     ghz_state,
     ground_state,
 )
@@ -487,19 +489,52 @@ class TestDiabaticitySchedule:
         with pytest.raises(ValidationError):
             diabaticity_schedule(RampSpec("linear", 1.0), terms, shifts)
 
-    def test_degenerate_ground_state_raises(self, chain4):
+    def test_degenerate_endpoint_gives_a_finite_schedule(self, chain4):
         # These shifts break the reflection symmetry of the static diagonal,
         # so the weight is taken in the full basis, yet both staggered
         # orderings carry the same -6 MHz of shift: they become an exactly
-        # degenerate ground doublet as the drive envelope closes near s=1.
-        _, terms, _ = chain4
-        shifts = LocalShifts((-6.0, -1.5, 0.0, -4.5))
+        # degenerate ground doublet as the drive envelope closes at s = 1.
+        # dH/ds = -Delta' n is constant on that doublet, so Q dH/ds psi_0 is
+        # rounding and the weight is defined there.
+        basis, terms, _ = chain4
+        shifts_mhz = (-6.0, -1.5, 0.0, -4.5)
+        shifts = LocalShifts(shifts_mhz)
         assert not terms.static_is_reflection_symmetric(shifts)
         spec = RampSpec("local_adiabatic", 1.0)
-        with pytest.raises(ScheduleSingularityError) as excinfo:
-            diabaticity_weight(spec, terms, shifts)
-        assert excinfo.value.s_star is not None
-        assert excinfo.value.s_star > 0.9
+        schedule = diabaticity_schedule(spec, terms, shifts)
+        weights = schedule.weights
+        assert np.all(np.isfinite(weights))
+        assert weights[-1] <= 1e-10 * weights.max()
+        assert schedule.times_us[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(schedule.times_us) > 0)
+        # Away from the doublet's closing gap the weight is the dense one.
+        s_grid = schedule.s_grid
+        away = np.flatnonzero(s_grid <= 0.9)
+        reference = np.array([
+            dense_diabatic_weight(
+                basis, shifts_mhz, TWO_PI * spec.omega_mhz(s), TWO_PI * spec.delta_mhz(s),
+                TWO_PI * spec.omega_slope_mhz(s), TWO_PI * spec.delta_slope_mhz(),
+            )
+            for s in s_grid[away]
+        ])
+        assert np.allclose(weights[away], reference, rtol=1e-10,
+                           atol=1e-13 * reference.max())
+
+    def test_inconsistent_deflated_system_raises(self):
+        # H = diag(0, 0, 1, 2) on (g, p, e1, e2): p is exactly degenerate
+        # with the ground state g, and b = dH/ds g couples to it, so
+        # Q (H - E_0) Q x = Q b has no solution and the weight diverges.
+        # MINRES returns the least-squares x as converged; the residual test
+        # relative to |b| catches it.
+        shifted = drive_matvec(sparse.csr_matrix((4, 4)), 0.0, np.array([0.0, 0.0, 1.0, 2.0]))
+        ground = np.array([1.0, 0.0, 0.0, 0.0])
+        b = np.array([0.3, 0.5, 1.0, -1.0])
+        with pytest.raises(ScheduleSingularityError, match="inconsistent") as excinfo:
+            optimize._deflated_solve(shifted, ground, b, 0.25)
+        assert excinfo.value.s_star == 0.25
+        # Without the partner's coupling the same system is consistent.
+        x = optimize._deflated_solve(shifted, ground, b * [1.0, 0.0, 1.0, 1.0], 0.25)
+        assert np.allclose(x, [0.0, 0.0, 1.0, -0.5], rtol=0.0, atol=1e-12)
 
     def test_unconverged_solve_raises(self, chain4, monkeypatch):
         _, terms, shifts = chain4
@@ -513,11 +548,15 @@ class TestDiabaticitySchedule:
         (8, LocalShifts.preparation_default(8).values_mhz, np.linspace(0.0, 1.0, 41)),
         # Reflection-breaking shifts: the full basis.
         (6, (-4.5, 0.0, -1.0, 0.0, 0.0, -3.0), np.linspace(0.0, 1.0, 41)),
-        # Even sector of dim 1309, above the dense cutoff: the Lanczos path,
-        # at both omega = 0 ends, a weak drive and near the weight's peak.
+        # The benchmark's N=12 preparation shifts: an even sector of dim 195,
+        # below the dense cutoff, where the ground state once came from a
+        # dense eigensolver.
+        (12, LocalShifts.preparation_default(12).values_mhz, np.linspace(0.0, 1.0, 41)),
+        # Even sector of dim 1309, above the dense cutoff: at both omega = 0
+        # ends, a weak drive and near the weight's peak.
         (16, LocalShifts.preparation_default(16).values_mhz,
          np.array([0.0, 0.05, 0.55, 1.0])),
-    ], ids=["n8-even-sector", "n6-full-basis", "n16-lanczos"])
+    ], ids=["n8-even-sector", "n6-full-basis", "n12-benchmark-shifts", "n16-lanczos"])
     def test_weight_matches_dense_all_states_oracle(self, n_sites, shifts_mhz, s_grid):
         basis = enumerate_basis(ChainGeometry(n_sites))
         terms = build_terms(basis)
@@ -536,6 +575,20 @@ class TestDiabaticitySchedule:
         ])
         assert reference.max() > 1.0
         assert np.allclose(weights, reference, rtol=1e-10, atol=1e-13 * reference.max())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_sites, dim", [(2, 2), (3, 4)])
+    def test_spaces_at_or_below_the_lanczos_subspace(self, n_sites, dim):
+        # Even sectors of dim 2 and 4: ARPACK's subspace is the whole space.
+        basis = enumerate_basis(ChainGeometry(n_sites))
+        terms = build_terms(basis)
+        shifts = LocalShifts.preparation_default(n_sites)
+        assert symmetry_sector(basis, "even").dim == dim
+        spec = RampSpec("local_adiabatic", 1.1, grid_points=41)
+        schedule = diabaticity_schedule(spec, terms, shifts)
+        assert np.all(np.isfinite(schedule.weights))
+        assert schedule.weights.max() > 1.0
+        assert np.all(np.diff(schedule.times_us) > 0)
 
     def test_beats_linear_ramp_at_eight_sites(self):
         basis = enumerate_basis(ChainGeometry(8))

@@ -658,8 +658,9 @@ def test_spectrum_of_a_complex_coupling_matches_dense():
 @pytest.mark.parametrize("phase, real", [(0.0, True), (0.7, False)])
 @pytest.mark.parametrize("lanczos", [False, True])
 def test_spectrum_solver_input(monkeypatch, phase, real, lanczos):
-    # A real coupling reaches either solver as a real matrix with
-    # contiguous values; a complex one stays complex.
+    # A real coupling reaches either solver as a real operator with
+    # contiguous values; a complex one stays complex.  The Lanczos solver
+    # gets the engine's drive product, bound to solver_coupling.
     basis = enumerate_basis(ChainGeometry(8))
     terms = build_terms(basis)
     engine = SampledEvolution(basis, terms, coupling=drive_coupling(basis, phase=phase))
@@ -669,7 +670,9 @@ def test_spectrum_solver_input(monkeypatch, phase, real, lanczos):
         eigsh = propagate.eigsh
 
         def spy(h, **kwargs):
-            seen.append((np.isrealobj(h.data), h.data.flags.c_contiguous))
+            product = h.matvec(np.ones(h.shape[0]))
+            seen.append((np.isrealobj(product) and h.dtype == np.float64,
+                         engine.solver_coupling.data.flags.c_contiguous))
             return eigsh(h, **kwargs)
 
         monkeypatch.setattr(propagate, "eigsh", spy)
@@ -683,6 +686,30 @@ def test_spectrum_solver_input(monkeypatch, phase, real, lanczos):
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
     lowest_spectrum(engine, TWO_PI * 3.0, TWO_PI * 1.5, m=4)
     assert seen == [(real, True)]
+
+
+def test_spectrum_start_takes_the_lanczos_path(monkeypatch):
+    # dim 21 is far below the dense cutoff, yet a start vector sends the
+    # solve to ARPACK, which converges from it to the dense ground state.
+    basis = enumerate_basis(ChainGeometry(6))
+    terms = build_terms(basis)
+    engine = SampledEvolution(basis, terms, LocalShifts.preparation_default(6))
+    omega, delta = TWO_PI * 3.0, TWO_PI * 1.5
+    starts = []
+    eigsh = propagate.eigsh
+
+    def spy(h, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(h, **kwargs)
+
+    monkeypatch.setattr(propagate, "eigsh", spy)
+    dense = lowest_spectrum(engine, omega, delta, m=1)
+    assert starts == []
+    start = dense.vectors[:, 0] + 0.05 * np.random.default_rng(1).standard_normal(basis.dim)
+    warm = lowest_spectrum(engine, omega, delta, m=1, start=start)
+    assert len(starts) == 1 and starts[0] is start
+    assert warm.ground_energy == pytest.approx(dense.ground_energy, abs=1e-8)
+    assert abs(np.vdot(warm.vectors[:, 0], dense.vectors[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spectrum_sparse_path_converges_at_weak_drive():
