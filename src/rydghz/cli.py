@@ -394,7 +394,9 @@ def cmd_infer(ctx, args):
         ("inferred_target_population", population),
         ("target_population_sigma", sigma),
         ("kkt_residual", inferred.kkt_residual),
+        ("inference_iterations", inferred.iterations),
         ("bootstrap_resamples", args.bootstrap),
+        ("bootstrap_iterations", boot.iterations),
     ]))
     print(f"infer: target population {population!r} +/- {sigma!r}")
     return EXIT_OK

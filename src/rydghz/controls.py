@@ -225,11 +225,6 @@ class Pulse:
         return cls.from_dict(data)
 
 
-def sample_controls(pulse, t):
-    """Spec-level sampling entry point: angular (omega, delta) at time t."""
-    return pulse.sample(t)
-
-
 def standard_guess_pulse(
     tau,
     delta_start_mhz=-20.0,

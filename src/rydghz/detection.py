@@ -5,7 +5,10 @@ probability p10 and a true 1 as 0 with probability p01.  Populations are
 compared at the level of grouped distributions (by excitation number, or
 by staggered magnetization and excitation number jointly), whose group-to
 -group confusion matrices are exact binomial convolutions.  The parent
-distribution is recovered by least squares on the probability simplex.
+distribution is recovered by least squares on the probability simplex:
+block principal-pivoting exchanges (Judice & Pires 1994; Kim & Park 2011)
+find the bound groups in a few solves, and a primal active-set walk
+finishes wherever the exchanges stop improving.
 """
 
 import math
@@ -23,8 +26,8 @@ P10_UNCERTAINTY_DEFAULT = 0.0001
 P01_UNCERTAINTY_DEFAULT = 0.0042
 # A bound group whose KKT multiplier is below -KKT_TOL is released.
 KKT_TOL = 1e-10
-# The active-set inference gives up after this many iterations per group,
-# plus a floor: 10 n + 100 for n groups.
+# The inference gives up after this many KKT solves per group, plus a
+# floor: 10 n + 100 for n groups.
 INFERENCE_ITERATIONS_PER_GROUP = 10
 INFERENCE_ITERATIONS_FLOOR = 100
 
@@ -325,11 +328,24 @@ def infer_true_distribution(observed, confusion, active_set=None):
     """Least-squares parent distribution on the probability simplex.
 
     Minimizes ||confusion @ V - observed||^2 subject to V >= 0 and
-    sum(V) = 1 with a primal active-set method; binding constraints with
-    negative multipliers are released lowest index first, which makes the
-    solution path deterministic.  After INFERENCE_ITERATIONS_PER_GROUP * n
-    + INFERENCE_ITERATIONS_FLOOR iterations for n groups (read at call
-    time) InferenceError is raised.
+    sum(V) = 1 in two stages, each step of which solves the
+    equality-constrained KKT system on the current free groups.
+
+    1. Block principal pivoting (Judice & Pires, Comput. Oper. Res. 21,
+       587 (1994); Kim & Park, SIAM J. Sci. Comput. 33, 3261 (2011)):
+       every infeasible group is exchanged at once, free groups with
+       V < -1e-12 becoming bound and bound groups with KKT multiplier
+       below -KKT_TOL becoming free.  An optimal partition is returned
+       as solved.  Exchanges can cycle, so after 3 that do not lower the
+       number of infeasible groups the stage ends.
+    2. The primal active-set walk finishes from the feasible point that
+       is uniform on the groups the exchanges left free; it releases
+       binding constraints with negative multipliers lowest index first,
+       which makes the solution path deterministic.
+
+    `iterations` counts the KKT solves of both stages.  After
+    INFERENCE_ITERATIONS_PER_GROUP * n + INFERENCE_ITERATIONS_FLOOR solves
+    for n groups (read at call time) InferenceError is raised.
 
     Parameters
     ----------
@@ -337,13 +353,12 @@ def infer_true_distribution(observed, confusion, active_set=None):
         perfectly; it is used as given).
     confusion : column-stochastic group confusion matrix M.
     active_set : optional group indices to start bound at zero, typically
-        the `active_set` of a previous result on nearby data.  The walk
-        then starts from the feasible point that is uniform on the other
-        groups instead of on all of them.  When M^T M is positive definite
-        (square M with misread rates below 0.5) the minimizer is unique,
-        so a warm start changes only the number of iterations; the path
-        from a given start stays deterministic.  A set that binds every
-        group falls back to the cold start.
+        the `active_set` of a previous result on nearby data; by default
+        every group starts free.  When M^T M is positive definite (square
+        M with misread rates below 0.5) the minimizer is unique, so a warm
+        start changes only the number of solves; the path from a given
+        start stays deterministic.  A set that binds every group falls
+        back to the cold start.
     """
     w_obs = np.asarray(observed, dtype=float)
     m = np.asarray(confusion, dtype=float)
@@ -364,37 +379,50 @@ def infer_true_distribution(observed, confusion, active_set=None):
     mtm = m.T @ m
     mtw = m.T @ w_obs
     max_iterations = INFERENCE_ITERATIONS_PER_GROUP * n + INFERENCE_ITERATIONS_FLOOR
-    v = np.zeros(n)
-    v[free] = 1.0 / np.count_nonzero(free)
+    v = free / np.count_nonzero(free)
+    exchanging, fewest_infeasible, stalls = True, n + 1, 0
     for iteration in range(1, max_iterations + 1):
         v_free, lam = _equality_solve(mtm, mtw, free)
-        if np.all(v_free >= -1e-12):
-            v = np.zeros(n)
-            v[free] = np.clip(v_free, 0.0, None)
-            grad = mtm @ v - mtw
-            mu = grad + lam
-            bound = np.nonzero(~free)[0]
-            negative = bound[mu[bound] < -KKT_TOL]
-            if negative.size == 0:
-                kkt_parts = [abs(v.sum() - 1.0)]
-                if free.any():
-                    kkt_parts.append(np.max(np.abs(grad[free] + lam)))
-                if bound.size:
-                    kkt_parts.append(max(0.0, -float(mu[bound].min())))
-                kkt_residual = float(max(kkt_parts))
-                residual = float(np.linalg.norm(m @ v - w_obs))
-                return InferenceResult(
-                    distribution=v,
-                    residual_norm=residual,
-                    kkt_residual=kkt_residual,
-                    active_set=tuple(int(i) for i in bound),
-                    iterations=iteration,
-                )
+        target = np.zeros(n)
+        feasible = bool(np.all(v_free >= -1e-12))
+        target[free] = np.clip(v_free, 0.0, None) if feasible else v_free
+        grad = mtm @ target - mtw
+        mu = grad + lam
+        bound = np.nonzero(~free)[0]
+        negative = bound[mu[bound] < -KKT_TOL]
+        if feasible and negative.size == 0:
+            kkt_parts = [abs(target.sum() - 1.0)]
+            if free.any():
+                kkt_parts.append(np.max(np.abs(grad[free] + lam)))
+            if bound.size:
+                kkt_parts.append(max(0.0, -float(mu[bound].min())))
+            return InferenceResult(
+                distribution=target,
+                residual_norm=float(np.linalg.norm(m @ target - w_obs)),
+                kkt_residual=float(max(kkt_parts)),
+                active_set=tuple(int(i) for i in bound),
+                iterations=iteration,
+            )
+        if exchanging:
+            binding = np.nonzero(free & (target < -1e-12))[0]
+            infeasible = binding.size + negative.size
+            if infeasible < fewest_infeasible:
+                fewest_infeasible, stalls = infeasible, 0
+            else:
+                stalls += 1
+            if stalls < 3:
+                free[binding] = False
+                free[negative] = True
+                continue
+            # The walk starts here, from the point uniform on this partition;
+            # its first step is the one this solve gives.
+            exchanging = False
+            v = free / np.count_nonzero(free)
+        if feasible:
+            v = target
             free[negative[0]] = True  # lowest index released first
             continue
         # infeasible target: walk until the first coordinate hits zero
-        target = np.zeros(n)
-        target[free] = v_free
         direction = target - v
         shrinking = np.nonzero(free & (target < -1e-15))[0]
         steps = v[shrinking] / (v[shrinking] - target[shrinking])
@@ -404,7 +432,7 @@ def infer_true_distribution(observed, confusion, active_set=None):
         v[blocking] = 0.0
         free[blocking] = False
     raise InferenceError(
-        f"active-set inference did not converge in {max_iterations} iterations",
+        f"inference did not converge in {max_iterations} KKT solves",
         residual=float(np.linalg.norm(m @ v - w_obs)),
     )
 
@@ -415,6 +443,7 @@ class BootstrapResult:
     samples: np.ndarray
     n_resamples: int
     sigma_defined: bool
+    iterations: int  # KKT solves summed over the resamples' inferences
 
 
 def _truncated_normal(rng, mean, sd, lo=0.0, hi=0.5):
@@ -433,9 +462,12 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0):
     Each resample redraws the detection probabilities from their stated
     uncertainties (normal, truncated to [0, 0.5)) and the shot counts
     multinomially, then reruns the inference.  With a single resample the
-    spread is undefined and flagged as such.  Each inference starts from
-    the previous resample's active set, which leaves the samples unchanged
-    (see `infer_true_distribution`) but saves most of the iterations.
+    spread is undefined and flagged as such.  Each inference runs block
+    principal-pivoting exchanges (Judice & Pires 1994; Kim & Park 2011),
+    finished by the active-set walk where they stall, and starts them from
+    the previous resample's active set.  That leaves the samples unchanged
+    (see `infer_true_distribution`) but saves most of the KKT solves;
+    `iterations` sums them over the resamples.
     """
     model = model or DetectionModel()
     if n_resamples < 1:
@@ -445,6 +477,7 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0):
     n_shots = shots.n_shots
     samples = np.empty((n_resamples, len(w_hat)))
     active_set = None
+    iterations = 0
     for b in range(n_resamples):
         p10 = _truncated_normal(rng, model.p10, model.p10_uncertainty)
         p01 = _truncated_normal(rng, model.p01, model.p01_uncertainty)
@@ -455,10 +488,11 @@ def bootstrap_uncertainty(shots, grouping, model=None, n_resamples=200, seed=0):
         result = infer_true_distribution(w_b, confusion_b, active_set=active_set)
         samples[b] = result.distribution
         active_set = result.active_set
+        iterations += result.iterations
     if n_resamples == 1:
-        return BootstrapResult(None, samples, 1, False)
+        return BootstrapResult(None, samples, 1, False, iterations)
     sigma = samples.std(axis=0, ddof=1)
-    return BootstrapResult(sigma, samples, n_resamples, True)
+    return BootstrapResult(sigma, samples, n_resamples, True, iterations)
 
 
 def parity_from_distribution(distribution, grouping):

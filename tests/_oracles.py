@@ -281,3 +281,21 @@ def g2_correlations(source):
     matrix = second - np.outer(mean, mean)
     radial = np.array([np.mean(np.diagonal(matrix, d)) for d in range(1, matrix.shape[0])])
     return matrix, radial
+
+
+def simplex_kkt_violation(distribution, observed, confusion):
+    """How far `distribution` is from minimizing ||M v - w||^2 over the
+    probability simplex.
+
+    A point of the simplex is optimal exactly when every group that
+    carries weight has the smallest gradient component: no transfer of
+    weight between two groups lowers the objective.  Returned is the
+    largest of the sum's distance from 1, the most negative entry, and the
+    excess of a weighted group's half-gradient M^T (M v - w) over the
+    smallest one.
+    """
+    v = np.asarray(distribution, dtype=float)
+    m = np.asarray(confusion, dtype=float)
+    half_gradient = m.T @ (m @ v - np.asarray(observed, dtype=float))
+    excess = half_gradient[v > 0.0] - half_gradient.min()
+    return max(abs(v.sum() - 1.0), -min(v.min(), 0.0), float(excess.max(initial=0.0)))

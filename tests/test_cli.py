@@ -234,6 +234,8 @@ class TestInfer:
         corrected = float(report["inferred_target_population"])
         assert corrected > raw
         assert float(report["target_population_sigma"]) > 0
+        assert int(report["inference_iterations"]) >= 1
+        assert int(report["bootstrap_iterations"]) >= 16
         manifest = read_manifest(out, "infer")
         assert str(shots_file) in manifest.inputs
 

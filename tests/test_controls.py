@@ -9,7 +9,6 @@ from rydghz.controls import (
     Waveform,
     boundary_window,
     constant_pulse,
-    sample_controls,
     standard_guess_pulse,
     tabulated_pulse,
 )
@@ -129,7 +128,7 @@ def test_constant_and_tabulated_builders():
     omega, delta = tab.sample_mhz(0.25)
     assert omega == pytest.approx(2.5)
     assert delta == pytest.approx(-10.0)
-    assert sample_controls(tab, 0.25)[0] == pytest.approx(mhz_to_angular(2.5))
+    assert tab.sample(0.25)[0] == pytest.approx(mhz_to_angular(2.5))
 
 
 def test_waveform_validation():

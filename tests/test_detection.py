@@ -24,6 +24,8 @@ from rydghz.hamiltonian import build_terms
 from rydghz.propagate import StateVector, ghz_state
 from rydghz.protocols import parity_oscillation_scan
 
+from _oracles import simplex_kkt_violation
+
 
 def brute_force_count_confusion(n_sites, p10, p01):
     """Enumerate every detected bitstring for one representative per count."""
@@ -275,6 +277,47 @@ class TestShots:
             ShotSet.from_text("# only headers, no rows\n")
 
 
+def _simplex_problems(grouping_class):
+    """Seeded (observed, confusion) pairs over N = 4..20 and misread rates
+    up to 0.3: frequencies of 2000 shots of a sparse parent distribution."""
+    for n_sites in range(4, 21, 2):
+        grouping = grouping_class(n_sites)
+        n = grouping.n_groups
+        for rate in (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+            for seed in range(4):
+                rng = np.random.default_rng([n_sites, round(100 * rate), seed])
+                confusion = grouping.confusion(DetectionModel(rate * rng.uniform(0.3, 1.0), rate))
+                parent = np.zeros(n)
+                support = rng.choice(n, size=max(2, n // 5), replace=False)
+                parent[support] = rng.dirichlet(np.ones(support.size))
+                yield rng.multinomial(2000, confusion @ parent) / 2000, confusion
+
+
+def _exchanges_alone_finish(observed, confusion):
+    """Whether block exchanges from the all-free start, with no walk to
+    finish, reach an optimal partition within 10 n + 100 solves.  Each
+    swaps every free group below -1e-12 and every bound group whose
+    multiplier is below -KKT_TOL."""
+    n = confusion.shape[1]
+    mtm = confusion.T @ confusion
+    mtw = confusion.T @ observed
+    free = np.ones(n, dtype=bool)
+    for _ in range(10 * n + 100):
+        idx = np.flatnonzero(free)
+        kkt = np.ones((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1] = mtm[np.ix_(idx, idx)]
+        kkt[-1, -1] = 0.0
+        solution = np.linalg.solve(kkt, np.append(mtw[idx], 1.0))
+        v = np.zeros(n)
+        v[idx] = solution[:-1]
+        mu = mtm @ v - mtw + solution[-1]
+        swap = (free & (v < -1e-12)) | (~free & (mu < -detection.KKT_TOL))
+        if not swap.any():
+            return True
+        free ^= swap
+    return False
+
+
 class TestInference:
     def test_exact_recovery_from_forward_model(self):
         grouping = ExcitationGrouping(8)
@@ -340,6 +383,40 @@ class TestInference:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             infer_true_distribution(np.ones(3), np.eye(4))
+
+    @pytest.mark.parametrize("grouping_class",
+                             [ExcitationGrouping, MagnetizationExcitationGrouping])
+    def test_grid_where_exchanges_alone_cycle(self, grouping_class):
+        exchanges_stall = 0
+        previous = None
+        for observed, confusion in _simplex_problems(grouping_class):
+            cold = infer_true_distribution(observed, confusion)
+            assert simplex_kkt_violation(cold.distribution, observed, confusion) <= 1e-10
+            if previous is not None and len(previous.distribution) == len(observed):
+                warm = infer_true_distribution(observed, confusion,
+                                               active_set=previous.active_set)
+                assert np.array_equal(warm.distribution, cold.distribution)
+                assert warm.active_set == cold.active_set
+            previous = cold
+            exchanges_stall += not _exchanges_alone_finish(observed, confusion)
+        # the walk finishes these; without it the exchanges would cycle
+        assert exchanges_stall > 0
+
+    @pytest.mark.parametrize("exchanges_finish", [True, False])
+    def test_iteration_cap_counts_every_kkt_solve(self, monkeypatch, exchanges_finish):
+        observed, confusion = next(
+            (w, m) for w, m in _simplex_problems(ExcitationGrouping)
+            if _exchanges_alone_finish(w, m) == exchanges_finish
+            and infer_true_distribution(w, m).iterations > 2)
+        result = infer_true_distribution(observed, confusion)
+        monkeypatch.setattr(detection, "INFERENCE_ITERATIONS_PER_GROUP", 0)
+        monkeypatch.setattr(detection, "INFERENCE_ITERATIONS_FLOOR", result.iterations - 1)
+        with pytest.raises(InferenceError):
+            infer_true_distribution(observed, confusion)
+        monkeypatch.setattr(detection, "INFERENCE_ITERATIONS_FLOOR", result.iterations)
+        capped = infer_true_distribution(observed, confusion)
+        assert np.array_equal(capped.distribution, result.distribution)
+        assert capped.iterations == result.iterations
 
     def test_iteration_cap_raises(self, monkeypatch):
         confusion = ExcitationGrouping(4).confusion(DetectionModel())
@@ -478,6 +555,14 @@ class TestWarmStartedCallers:
         assert warm[0][0] is None
         assert all(warm[b][0] == warm[b - 1][1].active_set for b in range(1, 50))
         assert sum(r.iterations for _, r in warm) < sum(r.iterations for _, r in cold)
+
+    def test_bootstrap_counts_every_kkt_solve(self, monkeypatch):
+        shots = _ghz_shots(12, 3000, seed=1)
+        calls = _recording_inference(monkeypatch, warm=True)
+        boot = bootstrap_uncertainty(shots, MagnetizationExcitationGrouping(12),
+                                     n_resamples=50, seed=3)
+        assert boot.iterations == sum(r.iterations for _, r in calls)
+        assert boot.iterations >= 50
 
     def test_inferred_scan_matches_cold_starts(self, monkeypatch):
         basis = enumerate_basis(ChainGeometry(8))

@@ -95,10 +95,29 @@ def _public_signatures(module, tree):
     return found
 
 
+def _scoped_nodes(tree, module=None):
+    """(owner, node) for every node below the root of `tree`.  In package
+    `module` the owner is the label 'module.function' or
+    'module.Class.method' of the enclosing top-level function or method;
+    elsewhere, and in module-level or class-level code, it is None."""
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and owner is None:
+                yield from visit(child, None, f"{child.name}.")
+                continue
+            inner = owner
+            if isinstance(child, ast.FunctionDef) and owner is None and module:
+                inner = f"{module}.{prefix}{child.name}"
+            yield inner, child
+            yield from visit(child, inner, prefix)
+
+    yield from visit(tree, None, "")
+
+
 def _calls(tree, module=None):
     """(callee name, positional sources, keyword sources) per call, matched
     by the callee's last name.  A source is None, or for a bare parameter
-    of the enclosing public function of package `module`, that parameter's
+    of the enclosing function of package `module`, that parameter's
     label: the call forwards it.  Starred arguments give None for the
     positional sources, ** for the keyword ones: they may set anything.
     Workload.op(label, fn, *args, **kwargs) also counts as a call of fn."""
@@ -124,22 +143,12 @@ def _calls(tree, module=None):
                 else {k.arg: source(k.value) for k in keywords},
             ))
 
-    def visit(node, owner, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef) and owner is None:
-                visit(child, None, f"{child.name}.")
-                continue
-            inner = owner
-            if isinstance(child, ast.FunctionDef) and owner is None and module:
-                inner = f"{module}.{prefix}{child.name}"
-            if isinstance(child, ast.Call):
-                name = name_of(child.func)
-                record(name, child.args, child.keywords, inner)
-                if name == "op" and len(child.args) >= 2:
-                    record(name_of(child.args[1]), child.args[2:], child.keywords, inner)
-            visit(child, inner, prefix)
-
-    visit(tree, None, "")
+    for owner, node in _scoped_nodes(tree, module):
+        if isinstance(node, ast.Call):
+            name = name_of(node.func)
+            record(name, node.args, node.keywords, owner)
+            if name == "op" and len(node.args) >= 2:
+                record(name_of(node.args[1]), node.args[2:], node.keywords, owner)
     return out
 
 
@@ -178,14 +187,31 @@ def _unset_options(definitions, calls):
     return sorted(called - is_set)
 
 
-def _api_unset_options():
-    definitions, calls = [], []
+def _references(tree, module=None):
+    """(owner, name) for each bare or attribute name a scope loads, with the
+    owners of `_scoped_nodes`."""
+    return [(owner, node.id if isinstance(node, ast.Name) else node.attr)
+            for owner, node in _scoped_nodes(tree, module)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def _api_graph():
+    """Public signatures of the package, and the calls and references of
+    every caller."""
+    definitions, calls, references = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         definitions += _public_signatures(path.stem, ast.parse(path.read_text()))
     for root in CALLERS:
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             module = path.stem if path.parent == PACKAGE else None
-            calls += _calls(ast.parse(path.read_text(), filename=str(path)), module)
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls += _calls(tree, module)
+            references += _references(tree, module)
+    return definitions, calls, references
+
+
+def _api_unset_options():
+    definitions, calls, _ = _api_graph()
     return _unset_options(definitions, calls)
 
 
@@ -221,4 +247,89 @@ def test_option_checker_follows_forwarding_and_op():
     calls = _calls(package, "m") + _calls(callers)
     assert _unset_options(_public_signatures("m", package), calls) == [
         "m.Box.fit(weights)", "m.scale(clip)", "m.scale(offset)", "m.wrapper(offset)",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Public functions that nothing reaches
+
+# Public functions and methods that no command, demo, benchmark workload
+# or acceptance criterion reaches, each with the reason it stays.
+UNREACHED_PUBLIC_FUNCTIONS = {
+    "basis.staggered_magnetization":
+        "pins the sign of M (+N on 0101...01) that the probe field and the (k, M) grouping use",
+    "controls.constant_pulse": "square drives for the closed-form Rabi tests of the propagator",
+    "fileio.TableData.column": "reads back a column of the tables the commands write",
+    "fileio.TableData.metadata_value": "reads back the metadata of the tables the commands write",
+    "fileio.TableData.n_rows": "reads back the length of the tables the commands write",
+    "fileio.read_table": "reads back the tables the commands write",
+    "fileio.write_json": "the JSON half of the atomic writers, beside read_json",
+    "fileio.write_table": "the table half of the atomic writers, beside read_table",
+    "hamiltonian.HamiltonianTerms.number_diagonal": "single-site occupations; tests only",
+    "hamiltonian.LocalShifts.is_reflection_symmetric":
+        "the shift presets' symmetry, which the tests of the presets check",
+    "hamiltonian.LocalShifts.staggered": "the staggered shift pattern of the Hamiltonian oracle tests",
+    "noise.NoiseModel.decay_free": "tells a dephasing-only model apart; tests only",
+    "propagate.StateVector.normalized": "normalizes perturbed test states",
+    "propagate.basis_state": "product states for propagation and readout tests",
+    "units.angular_to_mhz": "the inverse of mhz_to_angular, for the unit round trip",
+}
+
+
+def _unreached(definitions, references):
+    """Labels of the public functions and methods that no root reaches.
+
+    Scopes with owner None are the roots: the callers outside the package,
+    and module- and class-level package code, which runs on import.  A
+    package function or method is reached when a reached scope names it,
+    matched by last name as calls are: a call, a callback or a property
+    read all name it."""
+    names_by_owner = {}
+    for owner, name in references:
+        names_by_owner.setdefault(owner, set()).add(name)
+    reached = names_by_owner.pop(None, set())
+    grew = True
+    while grew:
+        grew = False
+        for owner in [o for o in names_by_owner if o.rsplit(".", 1)[-1] in reached]:
+            reached |= names_by_owner.pop(owner)
+            grew = True
+    return sorted(stem for stem, name, *_ in definitions if name not in reached)
+
+
+def test_every_public_function_is_reached():
+    definitions, _, references = _api_graph()
+    unreached = _unreached(definitions, references)
+    unexplained = [label for label in unreached if label not in UNREACHED_PUBLIC_FUNCTIONS]
+    assert unexplained == [], (
+        f"public functions that no command, demo, benchmark workload or "
+        f"acceptance criterion reaches: {unexplained}; remove each, make it "
+        f"private, or give it a reason in UNREACHED_PUBLIC_FUNCTIONS"
+    )
+    stale = sorted(set(UNREACHED_PUBLIC_FUNCTIONS) - set(unreached))
+    assert stale == [], f"allowlisted functions that a caller reaches or that are gone: {stale}"
+
+
+def test_reach_checker_follows_references_from_roots():
+    package = ast.parse(
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def orphan():\n"
+        "    return chain()\n"
+        "def chain():\n"
+        "    return 2\n"
+        "class Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "TABLE = {'x': used}\n"
+    )
+    callers = ast.parse("print(Box().size)\n")
+    references = _references(package, "m") + _references(callers)
+    assert _unreached(_public_signatures("m", package), references) == [
+        "m.Box.unused", "m.chain", "m.orphan",
     ]
