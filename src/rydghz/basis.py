@@ -114,19 +114,6 @@ def pattern_to_int(pattern, n_sites=None):
     return value
 
 
-def staggered_magnetization(pattern, n_sites):
-    """Staggered magnetization sum_i (-1)^i (2 n_i - 1), site 1 leftmost.
-
-    The alternating antiferromagnetic pattern 0101...01 attains +n_sites.
-    """
-    value = pattern_to_int(pattern, n_sites)
-    m = 0
-    for i in range(1, n_sites + 1):
-        n_i = (value >> (n_sites - i)) & 1
-        m += (-1) ** i * (2 * n_i - 1)
-    return m
-
-
 def ghz_component_values(n_sites):
     """Integer forms of the two antiferromagnetic orderings (A, Abar).
 

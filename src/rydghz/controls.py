@@ -242,20 +242,6 @@ def standard_guess_pulse(
     )
 
 
-def constant_pulse(tau, omega_mhz, delta_mhz=0.0, omega_max_mhz=None):
-    """Square drive at fixed detuning (resonant readout style)."""
-    top = max(omega_mhz, OMEGA_MAX_DEFAULT_MHZ) if omega_max_mhz is None else omega_max_mhz
-    lo, hi = DELTA_BOUNDS_DEFAULT_MHZ
-    bounds = (min(lo, delta_mhz), max(hi, delta_mhz))
-    return Pulse(
-        tau=tau,
-        guess_omega=Waveform("constant", {"value": omega_mhz}),
-        guess_delta=Waveform("constant", {"value": delta_mhz}),
-        omega_bounds=(0.0, top),
-        delta_bounds=bounds,
-    )
-
-
 def tabulated_pulse(tau, times, omega_values_mhz, delta_values_mhz,
                     omega_max_mhz=OMEGA_MAX_DEFAULT_MHZ,
                     delta_bounds=DELTA_BOUNDS_DEFAULT_MHZ):

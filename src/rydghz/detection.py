@@ -303,9 +303,6 @@ class InferenceResult:
     active_set: tuple
     iterations: int
 
-    def __iter__(self):
-        yield from (self.distribution, self.residual_norm)
-
 
 def _equality_solve(mtm, mtw, free):
     idx = np.flatnonzero(free)

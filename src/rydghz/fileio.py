@@ -52,10 +52,6 @@ def stable_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, obj):
-    return atomic_write_text(path, stable_json(obj))
-
-
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -177,10 +173,6 @@ def report_text(name, pairs):
             value = repr(value)
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
-
-
-def write_table(path, table):
-    return atomic_write_text(path, table.to_text())
 
 
 def read_table(path):

@@ -36,10 +36,6 @@ class LocalShifts:
     def as_array(self):
         return np.asarray(self.values_mhz, dtype=float)
 
-    @property
-    def is_reflection_symmetric(self):
-        return self.values_mhz == self.values_mhz[::-1]
-
     def plus(self, offsets_mhz):
         """New shifts with per-site offsets added (used for disorder draws)."""
         offsets = np.asarray(offsets_mhz, dtype=float)
@@ -71,16 +67,6 @@ class LocalShifts:
         values[3] = values[n_sites - 4] = -1.5
         return cls(tuple(values))
 
-    @classmethod
-    def staggered(cls, n_sites, delta_p_mhz):
-        """(-1)^i * delta_p pattern: -delta_p on odd sites, +delta_p on even."""
-        values = [((-1) ** i) * delta_p_mhz for i in range(1, n_sites + 1)]
-        return cls(tuple(values))
-
-    @classmethod
-    def edge_isolation(cls, n_sites, value_mhz=6.0):
-        return cls.edges(n_sites, value_mhz)
-
 
 class HamiltonianTerms:
     """Precomputed operator pieces for one basis.
@@ -104,12 +90,6 @@ class HamiltonianTerms:
         self.coupling = drive_coupling(basis)
         self.excitations = basis.excitations.astype(float)
         self.interaction_diagonal = interaction_diagonal(basis, self.v_mhz, bond_factors)
-
-    def number_diagonal(self, site):
-        """Diagonal of n_i for 1-based site index."""
-        if not 1 <= site <= self.basis.n_sites:
-            raise ValidationError(f"site {site} outside 1..{self.basis.n_sites}")
-        return self.basis.bits_matrix()[:, site - 1].astype(float)
 
     def shift_diagonal(self, shifts):
         """sum_i shift_i n_i in rad/us for a LocalShifts pattern."""

@@ -76,10 +76,6 @@ class NoiseModel:
             seed=seed,
         )
 
-    @property
-    def decay_free(self):
-        return math.isinf(self.scattering_time_us) and math.isinf(self.rydberg_lifetime_us)
-
 
 @dataclass(frozen=True)
 class DisorderRealization:
@@ -87,9 +83,6 @@ class DisorderRealization:
 
     detuning_offsets_mhz: np.ndarray
     bond_multipliers: np.ndarray
-
-    def __iter__(self):
-        return iter((self.detuning_offsets_mhz, self.bond_multipliers))
 
 
 def disorder_realization(model, geometry, realization):
@@ -205,7 +198,7 @@ def decohered_ghz_coherence(psi, model, delay_grid_us,
         raise ValidationError(f"need at least 2 realizations, got {count}")
     walk = np.empty(count)
     for k in range(count):
-        offsets, _ = disorder_realization(model, basis.geometry, k)
+        offsets = disorder_realization(model, basis.geometry, k).detuning_offsets_mhz
         walk[k] = float(signs @ offsets)
 
     # (realizations x delays) phase factors; averaging over axis 0 gives
@@ -255,9 +248,6 @@ class NoisyPreparationResult:
     n_realizations: int
     simplifications: tuple = (_SURVIVAL_NOTE,)
 
-    def __iter__(self):
-        return iter((self.mean_fidelity, self.fidelity_stderr))
-
 
 def noisy_preparation(pulse, terms, model, shifts=None,
                       n_realizations=DEFAULT_REALIZATIONS, dt=DEFAULT_DT_US):
@@ -300,10 +290,10 @@ def noisy_preparation(pulse, terms, model, shifts=None,
         stacked = range(first, min(first + per_stack, count))
         diags = []
         for k in stacked:
-            offsets, multipliers = disorder_realization(model, basis.geometry, k)
+            draw = disorder_realization(model, basis.geometry, k)
             diags.append(
-                interaction_diagonal(basis, terms.v_mhz, base_factors * multipliers)
-                - terms.shift_diagonal(base_shifts.plus(offsets))
+                interaction_diagonal(basis, terms.v_mhz, base_factors * draw.bond_multipliers)
+                - terms.shift_diagonal(base_shifts.plus(draw.detuning_offsets_mhz))
             )
         excitation_time = np.zeros(len(stacked))
 

@@ -42,7 +42,7 @@ from .propagate import (
 from .protocols import edge_bell_fidelity, edge_pair_density_matrix
 from .units import mhz_to_angular
 
-FOM_KINDS = ("ghz_fidelity", "state_overlap", "bell_edge_fidelity")
+FOM_KINDS = ("ghz_fidelity", "bell_edge_fidelity")
 RAMP_KINDS = ("linear", "local_adiabatic", "optimal_control")
 # Textbook downhill-simplex coefficients: reflection, expansion,
 # contraction and shrink.
@@ -64,22 +64,18 @@ class FigureOfMerit:
     """Scalar in [0, 1] scored on a final state; larger is better.
 
     ghz_fidelity scores overlap with the staggered superposition state
-    at relative phase `phase`; state_overlap scores |<target|psi>|^2
-    against an explicit target; bell_edge_fidelity scores the edge-pair
+    at relative phase `phase`; bell_edge_fidelity scores the edge-pair
     Bell fidelity (pattern populations plus best-phase coherence) of the
-    reduced edge density matrix.  All three are invariant under a global
-    phase of the evolved state.
+    reduced edge density matrix.  Both are invariant under a global phase
+    of the evolved state.
     """
 
     kind: str = "ghz_fidelity"
     phase: float = 0.0
-    target: StateVector | None = None
 
     def __post_init__(self):
         if self.kind not in FOM_KINDS:
             raise ValidationError(f"unknown figure of merit kind {self.kind!r}")
-        if self.kind == "state_overlap" and self.target is None:
-            raise ValidationError("state_overlap needs a target state")
 
     def evaluate(self, state):
         psi = state.in_full_basis()
@@ -90,9 +86,6 @@ class FigureOfMerit:
                 + np.exp(-1j * self.phase) * psi.amplitudes[i_abar]
             ) / np.sqrt(2.0)
             value = abs(amp) ** 2
-        elif self.kind == "state_overlap":
-            target = self.target.in_full_basis()
-            value = abs(target.overlap(psi)) ** 2
         else:
             value = edge_bell_fidelity(edge_pair_density_matrix(psi))
         return float(min(max(value, 0.0), 1.0))
@@ -294,10 +287,9 @@ class FomEvaluation:
 class DcrabResult:
     """Optimized pulse plus the complete evaluation history.
 
-    Iterating yields (pulse, trace) so the result unpacks like the bare
-    pair; super_best and accepted record, per dressing step, the
-    incumbent figure of merit after the step and whether the step's new
-    term was kept.
+    super_best and accepted record, per dressing step, the incumbent
+    figure of merit after the step and whether the step's new term was
+    kept.
     """
 
     pulse: object
@@ -307,9 +299,6 @@ class DcrabResult:
     super_best: tuple
     accepted: tuple
     seed: int
-
-    def __iter__(self):
-        return iter((self.pulse, self.trace))
 
     @property
     def n_evaluations(self):
@@ -793,9 +782,6 @@ class GateCircuitEstimate:
     layers: int
     total_time_us: float
     per_layer_fidelity: float | None = None
-
-    def __iter__(self):
-        return iter((self.layers, self.total_time_us, self.per_layer_fidelity))
 
 
 def gate_circuit_time_estimate(n_sites, omega_max_mhz=5.0, fidelity_target=None):

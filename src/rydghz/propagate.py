@@ -67,26 +67,8 @@ class StateVector:
             )
         self.amplitudes = amps
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0:
-            raise ValidationError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
-    def overlap(self, other):
-        """<self|other>."""
-        if other.space.dim != self.space.dim:
-            raise ValidationError("states live in different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def populations(self):
         return np.abs(self.amplitudes) ** 2
-
-    def copy(self):
-        return StateVector(self.space, self.amplitudes.copy())
 
     def in_full_basis(self):
         """Expand a sector state back to its parent basis (no-op otherwise)."""
@@ -99,12 +81,6 @@ def ground_state(basis):
     """All sites in |0>: the configuration with integer value 0."""
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(0)] = 1.0
-    return StateVector(basis, amps)
-
-
-def basis_state(basis, pattern):
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index_of(pattern)] = 1.0
     return StateVector(basis, amps)
 
 

@@ -4,9 +4,8 @@ Covers the antiferromagnetic-ordering decomposition of a state (component
 populations, off-diagonal coherence, fidelity), staggered-phase parity
 oscillations with a fixed-frequency fit and the coherence lower bound
 |beta| >= C/2, the resonant many-body readout rotation and its calibration,
-density-density correlations, the dimer (spin-1) picture of the readout,
-and the protocol that converts a chain GHZ state into a Bell pair between
-the two edge atoms.
+the dimer (spin-1) picture of the readout, and the protocol that converts
+a chain GHZ state into a Bell pair between the two edge atoms.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from scipy.linalg import expm
 from . import propagate
 from .detection import sample_shots
 from .errors import FitError, ValidationError
-from .fileio import TableData, report_text
+from .fileio import TableData
 from .hamiltonian import (
     LocalShifts,
     build_hamiltonian,
@@ -79,39 +78,17 @@ class GhzDecomposition:
         """Fidelity maximized over the target-state relative phase."""
         return (self.population_a + self.population_abar) / 2.0 + abs(self.coherence)
 
-    def to_text(self):
-        return report_text("rydghz-ghz-decomposition", [
-            ("population_a", self.population_a),
-            ("population_abar", self.population_abar),
-            ("coherence_real", self.coherence.real),
-            ("coherence_imag", self.coherence.imag),
-            ("coherence_abs", abs(self.coherence)),
-            ("fidelity", self.fidelity),
-            ("exact", self.exact),
-        ])
 
-
-def exact_ghz_decomposition(state, basis=None):
-    """Decompose a state vector or density matrix over the two orderings."""
-    if isinstance(state, StateVector):
-        psi = state.in_full_basis()
-        basis = psi.space
-        i_a, i_abar = basis.ghz_indices()
-        a = psi.amplitudes[i_a]
-        abar = psi.amplitudes[i_abar]
-        return GhzDecomposition(
-            population_a=float(abs(a) ** 2),
-            population_abar=float(abs(abar) ** 2),
-            coherence=complex(a * np.conj(abar)),
-        )
-    rho = np.asarray(state)
-    if basis is None or rho.ndim != 2 or rho.shape != (basis.dim, basis.dim):
-        raise ValidationError("density-matrix input needs a matching basis")
-    i_a, i_abar = basis.ghz_indices()
+def exact_ghz_decomposition(state):
+    """Decompose a StateVector over the two orderings."""
+    psi = state.in_full_basis()
+    i_a, i_abar = psi.space.ghz_indices()
+    a = psi.amplitudes[i_a]
+    abar = psi.amplitudes[i_abar]
     return GhzDecomposition(
-        population_a=float(rho[i_a, i_a].real),
-        population_abar=float(rho[i_abar, i_abar].real),
-        coherence=complex(rho[i_a, i_abar]),
+        population_a=float(abs(a) ** 2),
+        population_abar=float(abs(abar) ** 2),
+        coherence=complex(a * np.conj(abar)),
     )
 
 
@@ -433,10 +410,9 @@ def _rotated_components(amplitudes, rates, rotate, mirror=None):
     """Images U x_g of a state's parts x_g, where the diagonal `rates` is g.
 
     Only nonzero parts are rotated, as the columns of one block through
-    `rotate` (block -> (output space, rotated block)).  With `mirror`
-    (_mirror), R maps x_g to x_{-g}, so U x_{-g} = R U x_g and only g >= 0
-    are rotated.  Returns the output space, the images as columns, and
-    each column's rate.
+    `rotate` (block -> rotated block).  With `mirror` (_mirror), R maps
+    x_g to x_{-g}, so U x_{-g} = R U x_g and only g >= 0 are rotated.
+    Returns the images as columns and each column's rate.
     """
     values = np.unique(rates[amplitudes != 0])
     if values.size == 0:
@@ -444,7 +420,7 @@ def _rotated_components(amplitudes, rates, rotate, mirror=None):
     if mirror is not None:
         values = values[values >= 0]
     masks = rates[:, None] == values[None, :]
-    space, images = rotate(np.where(masks, amplitudes[:, None], 0))
+    images = rotate(np.where(masks, amplitudes[:, None], 0))
     columns, column_rates = [], []
     for image, value in zip(images.T, values):
         columns.append(image)
@@ -452,7 +428,7 @@ def _rotated_components(amplitudes, rates, rotate, mirror=None):
         if mirror is not None and value > 0:
             columns.append(image[mirror])
             column_rates.append(-value)
-    return space, np.column_stack(columns), np.asarray(column_rates)
+    return np.column_stack(columns), np.asarray(column_rates)
 
 
 def _diagonal_expectation(images, weights, phases):
@@ -469,8 +445,8 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=Non
 
     The times are default_scan_times(N, delta_p_mhz, n_times).  state may
     be a StateVector or (for bound audits) a density matrix with an
-    explicit `basis`.  readout is a UxCalibration, a duration in us, a
-    callable psi -> psi, or None to calibrate a scanned-optimal rotation.
+    explicit `basis`.  readout is a UxCalibration, a duration in us (at
+    5 MHz), or None to calibrate a scanned-optimal rotation.
     mode 'exact' records expectation values; 'shots-raw' draws bitstrings
     through a DetectionModel and averages their parities; 'shots-inferred'
     first inverts the grouped detection confusion (see detection module).
@@ -484,8 +460,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=Non
     E(T) = c(T)^dag G c(T) with G = X^dag P X.  Shot modes sample from
     X c(T).  When evolution_space keeps the state in the even sector of
     the readout's terms, U psi_{-M} = R U psi_M, so only the M >= 0
-    components are rotated (N/2+1 columns of one block).  Callable
-    readouts get no such shortcut and must be linear maps.  dt spaces the
+    components are rotated (N/2+1 columns of one block).  dt spaces the
     readout's Krylov stop times (see apply_ux).  Density-matrix scans, up
     to _DENSE_UNITARY_CUTOFF states, take U from one dense exponential.
     """
@@ -511,31 +486,17 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=Non
     times_us = default_scan_times(n, delta_p_mhz, n_times)
     generator = staggered_field_generator(basis, delta_p_mhz)
 
-    if callable(readout):
-        def rotate(block):
-            images = [readout(StateVector(basis, col)).in_full_basis() for col in block.T]
-            return images[0].space, np.column_stack([psi.amplitudes for psi in images])
+    if readout is None:
+        readout = optimal_ux_duration(terms)
+    if isinstance(readout, UxCalibration):
+        duration, omega = readout.duration_us, readout.omega_mhz
     else:
-        if readout is None:
-            readout = optimal_ux_duration(terms)
-        if isinstance(readout, UxCalibration):
-            duration, omega = readout.duration_us, readout.omega_mhz
-        else:
-            duration, omega = float(readout), 5.0
-        drive = _ConstantDrive.resonant(basis, terms, omega)
-
-        def rotate(block):
-            return basis, drive.rotate(block, duration, dt)
+        duration, omega = float(readout), 5.0
 
     if is_rho:
         # P rotated once: E(T) = Tr(D_T rho D_T^dag U^dag P U)
-        if callable(readout):
-            space, u = rotate(np.eye(basis.dim, dtype=complex))
-            if space is not basis:
-                raise ValidationError("density-matrix scans need a basis-preserving readout")
-        else:
-            h = build_hamiltonian(terms, None, mhz_to_angular(omega), 0.0).toarray()
-            u = expm(-1j * h * duration)
+        h = build_hamiltonian(terms, None, mhz_to_angular(omega), 0.0).toarray()
+        u = expm(-1j * h * duration)
         p_rot = u.conj().T @ (basis.parity[:, None] * u)
         parity_values = np.empty(times_us.size)
         for j, t in enumerate(times_us):
@@ -544,12 +505,14 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=Non
             parity_values[j] = float(np.sum(rho_t.T * p_rot).real)
         sigma = None
     else:
-        mirror = None if callable(readout) else _mirror(terms, state.amplitudes)
-        space, x, rates = _rotated_components(state.amplitudes, generator, rotate, mirror)
+        drive = _ConstantDrive.resonant(basis, terms, omega)
+        x, rates = _rotated_components(state.amplitudes, generator,
+                                       lambda block: drive.rotate(block, duration, dt),
+                                       _mirror(terms, state.amplitudes))
         phases = np.exp(-1j * np.outer(times_us, rates))
         sigma = np.empty(times_us.size) if mode == "shots-raw" else None
         if mode == "exact":
-            parity_values = _diagonal_expectation(x, space.parity, phases)
+            parity_values = _diagonal_expectation(x, basis.parity, phases)
         else:
             # Imported at call time: callers may rebind detection.infer_true_distribution.
             from .detection import DetectionModel
@@ -567,7 +530,7 @@ def parity_oscillation_scan(state, terms, delta_p_mhz, readout=None, n_times=Non
                 active_set = None  # each time's inference starts from the last one's
             parity_values = np.empty(times_us.size)
             for j, c in enumerate(phases):
-                shots = sample_shots(StateVector(space, x @ c), n_shots, model=detection,
+                shots = sample_shots(StateVector(basis, x @ c), n_shots, model=detection,
                                      seed=seed + j)
                 if mode == "shots-raw":
                     per_shot = shots.parities().astype(float)
@@ -607,9 +570,6 @@ class CoherenceBound:
     phase: float
     amplitude: float
     frequency_mhz: float
-
-    def __iter__(self):
-        yield from (self.bound, self.phase)
 
 
 def coherence_lower_bound(scan):
@@ -805,7 +765,7 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
         psi = evolve(ground_state(basis), pulse_forward, terms,
                      shifts=preparation_shifts, dt=dt)
     if pulse_reverse is not None:
-        isolation = LocalShifts.edge_isolation(n, edge_shift_mhz)
+        isolation = LocalShifts.edges(n, edge_shift_mhz)
         psi = evolve(psi, pulse_reverse, terms, shifts=isolation, dt=dt)
 
     edge_rho = edge_pair_density_matrix(psi)
@@ -828,9 +788,9 @@ def bell_distribution_protocol(pulse_forward, pulse_reverse, terms,
     pop_edges = float(converted_probs[basis.index_of((1 << (n - 1)) | 1)])
     edge_excitations = bits[:, 0] + bits[:, -1]
     edge_parity_sign = np.where(edge_excitations % 2 == 0, 1.0, -1.0)
-    _, images, rates = _rotated_components(
+    images, rates = _rotated_components(
         converted, -edge_excitations,
-        lambda block: (basis, drive.rotate(block, BELL_READOUT_DURATION_US, dt)))
+        lambda block: drive.rotate(block, BELL_READOUT_DURATION_US, dt))
     edge_parity = _diagonal_expectation(images, edge_parity_sign,
                                         np.exp(-1j * np.outer(phases, rates)))
     fringe_fit = _fit_cosine(phases, edge_parity, omega=2.0)

@@ -14,8 +14,3 @@ TWO_PI = 2.0 * math.pi
 def mhz_to_angular(value_mhz):
     """Ordinary frequency in MHz -> angular frequency in rad/us."""
     return TWO_PI * value_mhz
-
-
-def angular_to_mhz(value_rad_per_us):
-    """Angular frequency in rad/us -> ordinary frequency in MHz."""
-    return value_rad_per_us / TWO_PI

@@ -209,13 +209,44 @@ def random_ghz_like_density_matrix(rng, dim, i_a, i_abar):
     return rho
 
 
+def basis_state(basis, pattern):
+    """The product state of one configuration (an integer or a '0101'
+    string), as a package StateVector over `basis`."""
+    from rydghz.propagate import StateVector
+
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.index_of(pattern)] = 1.0
+    return StateVector(basis, amps)
+
+
+def constant_pulse(tau, omega_mhz):
+    """Square resonant drive (detuning 0) of `tau` us at `omega_mhz`, as a
+    package Pulse, for the closed-form Rabi tests of the propagator."""
+    from rydghz.controls import Pulse, Waveform
+
+    return Pulse(
+        tau=tau,
+        guess_omega=Waveform("constant", {"value": omega_mhz}),
+        guess_delta=Waveform("constant", {"value": 0.0}),
+        omega_bounds=(0.0, max(omega_mhz, 5.0)),
+    )
+
+
+def staggered_shifts(n_sites, delta_p_mhz):
+    """The (-1)^i delta_p shift pattern (-delta_p on odd sites, site 1
+    first) as package LocalShifts: reflection symmetric for odd N only."""
+    from rydghz.hamiltonian import LocalShifts
+
+    return LocalShifts(tuple((-1) ** i * delta_p_mhz for i in range(1, n_sites + 1)))
+
+
 def ideal_rotation_readout(basis):
-    """Noninteracting product rotation, for readout substitution tests.
+    """Noninteracting product rotation: the ideal readout a per-time parity
+    reference can apply in place of the interacting one.
 
     Embeds the state into the unconstrained configuration space and applies
-    exp(-i (pi/4) sigma_x), a pi/2 rotation, on every site.  The scan takes
-    a readout as a map between the package's state vectors, so this one
-    returns a StateVector over the unconstrained Basis.  Only practical for
+    exp(-i (pi/4) sigma_x), a pi/2 rotation, on every site; returns a
+    package StateVector over the unconstrained Basis.  Only practical for
     small chains (2^N amplitudes).
     """
     from rydghz.basis import ChainGeometry, enumerate_basis

@@ -7,7 +7,6 @@ from rydghz.basis import (
     enumerate_basis,
     ghz_component_values,
     pattern_to_int,
-    staggered_magnetization,
     symmetry_sector,
 )
 from rydghz.errors import CapacityError, ValidationError
@@ -67,15 +66,22 @@ def test_geometry_validation():
         ChainGeometry(4, interaction_range=0)
 
 
+def _staggered_m(basis, pattern):
+    return basis.staggered_m[basis.index_of(pattern)]
+
+
 def test_staggered_magnetization_convention():
-    # 0101...01 attains +N; its complement attains -N.
+    # M = sum_i (-1)^i (2 n_i - 1), site 1 leftmost: 0101...01 attains +N
+    # and its complement -N.
     for n in [2, 4, 8, 20]:
+        basis = enumerate_basis(ChainGeometry(n))
         a_val, abar_val = ghz_component_values(n)
-        assert staggered_magnetization(a_val, n) == n
-        assert staggered_magnetization(abar_val, n) == -n
-    assert staggered_magnetization("0101", 4) == 4
-    assert staggered_magnetization("0000", 4) == 0
-    assert staggered_magnetization("1000", 4) == -2
+        assert _staggered_m(basis, a_val) == n
+        assert _staggered_m(basis, abar_val) == -n
+    basis = enumerate_basis(ChainGeometry(4))
+    assert _staggered_m(basis, "0101") == 4
+    assert _staggered_m(basis, "0000") == 0
+    assert _staggered_m(basis, "1000") == -2
 
 
 def test_staggered_magnetization_bounds_and_complement():
@@ -89,7 +95,7 @@ def test_staggered_magnetization_bounds_and_complement():
     full = enumerate_basis(ChainGeometry(6, max_adjacent_pairs=5))
     for v in full.configs[:20]:
         comp = (~v) & ((1 << 6) - 1)
-        assert staggered_magnetization(int(v), 6) == -staggered_magnetization(int(comp), 6)
+        assert _staggered_m(full, int(v)) == -_staggered_m(full, int(comp))
 
 
 def test_parity_convention():

@@ -16,8 +16,6 @@ from rydghz.fileio import (
     sha256_of_file,
     sha256_of_text,
     stable_json,
-    write_json,
-    write_table,
 )
 
 
@@ -48,7 +46,7 @@ class TestStableJson:
     def test_file_roundtrip(self, tmp_path):
         payload = {"grid": [0.0, 0.5], "n": 4}
         path = tmp_path / "doc.json"
-        write_json(path, payload)
+        atomic_write_text(path, stable_json(payload))
         assert read_json(path) == payload
 
 
@@ -93,7 +91,7 @@ class TestTableData:
     def test_file_roundtrip(self, tmp_path):
         table = self.build()
         path = tmp_path / "demo.csv"
-        write_table(path, table)
+        atomic_write_text(path, table.to_text())
         assert read_table(path).to_text() == table.to_text()
         assert sha256_of_file(path) == sha256_of_text(table.to_text())
 

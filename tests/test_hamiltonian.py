@@ -12,7 +12,7 @@ from rydghz.hamiltonian import (
 )
 from rydghz.units import TWO_PI, mhz_to_angular
 
-from _oracles import dense_hamiltonian
+from _oracles import dense_hamiltonian, staggered_shifts
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def test_matches_dense_reference(basis6):
 
 def test_hermitian_and_real(basis6):
     terms = build_terms(basis6)
-    h = build_hamiltonian(terms, LocalShifts.staggered(6, 3.8), TWO_PI * 5, TWO_PI * 2)
+    h = build_hamiltonian(terms, staggered_shifts(6, 3.8), TWO_PI * 5, TWO_PI * 2)
     dense = h.toarray()
     assert np.allclose(dense, dense.T, atol=0)
     assert np.isrealobj(dense)
@@ -100,12 +100,9 @@ def test_shift_presets():
     assert long.values_mhz[0] == long.values_mhz[11] == -6.0
     assert long.values_mhz[3] == long.values_mhz[8] == -1.5
     assert sum(v != 0 for v in long.values_mhz) == 4
-    assert long.is_reflection_symmetric
-    stag = LocalShifts.staggered(6, 3.8)
-    assert stag.values_mhz == (-3.8, 3.8, -3.8, 3.8, -3.8, 3.8)
-    assert not stag.is_reflection_symmetric
-    iso = LocalShifts.edge_isolation(8)
-    assert iso.values_mhz[0] == iso.values_mhz[7] == 6.0
+    assert long.values_mhz == long.values_mhz[::-1]
+    iso = LocalShifts.edges(8, 6.0)
+    assert iso.values_mhz == (6.0, 0, 0, 0, 0, 0, 0, 6.0)
     with pytest.raises(ValidationError):
         LocalShifts.none(4).plus([1.0, 2.0])
 
@@ -143,12 +140,14 @@ def test_bond_factors_scale_nearest_neighbors_only():
 
 
 def test_number_diagonal(basis6):
-    terms = build_terms(basis6)
-    n1 = terms.number_diagonal(1)
-    assert n1[basis6.index_of("100000")] == 1.0
-    assert n1[basis6.index_of("010000")] == 0.0
-    with pytest.raises(ValidationError):
-        terms.number_diagonal(7)
+    # The diagonal of n_i is column i - 1 of the occupation matrix.
+    bits = basis6.bits_matrix()
+    n1 = bits[:, 0]
+    assert n1[basis6.index_of("100000")] == 1
+    assert n1[basis6.index_of("010000")] == 0
+    for site in range(1, 7):
+        expected = [int(basis6.pattern_string(j)[site - 1]) for j in range(basis6.dim)]
+        assert np.array_equal(bits[:, site - 1], expected)
 
 
 @pytest.mark.parametrize("v_mhz", [float("nan"), float("inf"), -1.0])

@@ -57,7 +57,6 @@ class TestNoiseModel:
         assert model.scattering_time_us == 75.0
         assert model.rydberg_lifetime_us == 150.0
         assert model.seed == 0
-        assert not model.decay_free
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -75,7 +74,8 @@ class TestNoiseModel:
 
     def test_doppler_only_switches_decay_off(self):
         model = NoiseModel.doppler_only(doppler_sigma_mhz=0.1, seed=3)
-        assert model.decay_free
+        assert math.isinf(model.scattering_time_us)
+        assert math.isinf(model.rydberg_lifetime_us)
         assert model.position_sigma == 0.0
         assert model.doppler_sigma_mhz == 0.1
         assert model.seed == 3
@@ -84,9 +84,9 @@ class TestNoiseModel:
 class TestDisorderRealization:
     def test_shapes(self, chain4):
         basis, _, _ = chain4
-        offsets, multipliers = disorder_realization(NoiseModel(), basis.geometry, 0)
-        assert offsets.shape == (4,)
-        assert multipliers.shape == (3,)
+        draw = disorder_realization(NoiseModel(), basis.geometry, 0)
+        assert draw.detuning_offsets_mhz.shape == (4,)
+        assert draw.bond_multipliers.shape == (3,)
 
     def test_deterministic_per_seed_and_index(self, chain4):
         basis, _, _ = chain4
@@ -103,9 +103,9 @@ class TestDisorderRealization:
     def test_zero_sigma_draws_are_exact_identity(self, chain4):
         basis, _, _ = chain4
         model = NoiseModel(doppler_sigma_mhz=0.0, position_sigma=0.0)
-        offsets, multipliers = disorder_realization(model, basis.geometry, 3)
-        assert np.all(offsets == 0.0)
-        assert np.all(multipliers == 1.0)
+        draw = disorder_realization(model, basis.geometry, 3)
+        assert np.all(draw.detuning_offsets_mhz == 0.0)
+        assert np.all(draw.bond_multipliers == 1.0)
 
     def test_sample_statistics_match_model(self, chain4):
         basis, _, _ = chain4
@@ -190,7 +190,7 @@ class TestDecoheredGhzCoherence:
         for j, t in enumerate(times):
             acc = 0.0 + 0.0j
             for k in range(50):
-                offsets, _ = disorder_realization(model, basis.geometry, k)
+                offsets = disorder_realization(model, basis.geometry, k).detuning_offsets_mhz
                 diag = terms.interaction_diagonal - TWO_PI * (bits @ offsets)
                 held = evolve_under_diagonal(ghz4, diag, t)
                 drift = np.abs(held.amplitudes) ** 2 - np.abs(ghz4.amplitudes) ** 2
@@ -317,16 +317,15 @@ class TestNoisyPreparation:
                                    dt=0.005)
         start = ground_state(basis).amplitudes
         for k in range(count):
-            offsets, multipliers = disorder_realization(model, basis.geometry, k)
-            terms_k = build_terms(basis, bond_factors=multipliers)
+            draw = disorder_realization(model, basis.geometry, k)
+            terms_k = build_terms(basis, bond_factors=draw.bond_multipliers)
             excited = []
 
             def accumulate(_t, amps, _exc=terms_k.excitations):
                 excited.append(float(_exc @ np.abs(amps) ** 2) * 0.005)
 
-            amps = SampledEvolution(basis, terms_k, shifts.plus(offsets)).run(
-                start, pulse, dt=0.005, observer=accumulate
-            )
+            engine = SampledEvolution(basis, terms_k, shifts.plus(draw.detuning_offsets_mhz))
+            amps = engine.run(start, pulse, dt=0.005, observer=accumulate)
             survival = math.exp(-sum(excited) / model.rydberg_lifetime_us
                                 - pulse.tau * 4.0 / model.scattering_time_us)
             fidelity = exact_ghz_decomposition(StateVector(basis, amps)).fidelity
@@ -396,9 +395,7 @@ class TestNoisyPreparation:
         )
         assert result.n_realizations == 3
         assert result.fidelities.shape == (3,)
-        mean, stderr = result
-        assert mean == result.mean_fidelity
-        assert stderr == result.fidelity_stderr
+        assert result.mean_fidelity == result.fidelities.mean()
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_realization_count_below_one_is_refused(self, chain4, count):

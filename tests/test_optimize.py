@@ -121,10 +121,8 @@ class TestFigureOfMerit:
         for _ in range(10):
             amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             psi = StateVector(basis, amps / np.linalg.norm(amps))
-            expected = abs(target.overlap(psi)) ** 2
+            expected = abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2
             assert FigureOfMerit().evaluate(psi) == pytest.approx(expected, abs=1e-12)
-            got = FigureOfMerit("state_overlap", target=target).evaluate(psi)
-            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_sector_state_expands(self, chain4):
         basis, _, _ = chain4
@@ -293,12 +291,6 @@ class TestDcrab:
         assert len(result.super_best) == 2
         assert list(result.super_best) == sorted(result.super_best)
 
-    def test_result_unpacks_to_pulse_and_trace(self, dcrab4):
-        _, _, result = dcrab4
-        pulse, trace = result
-        assert pulse is result.pulse
-        assert trace is result.trace
-
     def test_zero_super_iterations_is_identity(self, chain4, sim4):
         guess = standard_guess_pulse(0.5)
         result = optimize_dcrab(
@@ -326,12 +318,9 @@ class TestDcrab:
         other = optimize_dcrab(guess, FigureOfMerit(), cfg_other, sim4)
         assert other.pulse.crab_omega.r != first.pulse.crab_omega.r
 
-    def test_failure_carries_iteration_context(self, chain4, sim4):
-        basis6 = enumerate_basis(ChainGeometry(6))
-        alien_target = ghz_state(basis6)
-        fom = FigureOfMerit("state_overlap", target=alien_target)
+    def test_failure_carries_iteration_context(self, sim4):
         with pytest.raises(OptimizationError) as excinfo:
-            optimize_dcrab(standard_guess_pulse(0.5), fom, DcrabConfig(), sim4)
+            optimize_dcrab(standard_guess_pulse(0.5), _FailingFom(limit=0), DcrabConfig(), sim4)
         assert excinfo.value.super_iteration == 0
         assert excinfo.value.evaluation_index == 0
         assert "super-iteration 0" in str(excinfo.value)
@@ -719,10 +708,10 @@ class TestGateCircuitEstimate:
         assert estimate.per_layer_fidelity == pytest.approx(0.9406, abs=5e-4)
 
     def test_single_bell_layer(self):
-        layers, total, per_layer = gate_circuit_time_estimate(2)
-        assert layers == 1
-        assert total == pytest.approx(0.1 / np.sqrt(2.0))
-        assert per_layer is None
+        estimate = gate_circuit_time_estimate(2)
+        assert estimate.layers == 1
+        assert estimate.total_time_us == pytest.approx(0.1 / np.sqrt(2.0))
+        assert estimate.per_layer_fidelity is None
 
     def test_drive_scaling(self):
         slow = gate_circuit_time_estimate(4, omega_max_mhz=2.5)
@@ -754,4 +743,4 @@ class TestPreparationSimulator:
 
     def test_final_state_is_normalized(self, chain4, sim4):
         state = sim4.final_state(standard_guess_pulse(0.2))
-        assert state.norm() == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-9)
