@@ -11,10 +11,13 @@ accurate in finite precision even when the basis loses orthogonality
 Musco, Musco & Sidford, SODA 2018).
 At the small dimensions of a pulse search a Lanczos iteration costs more
 in call dispatch than in flops, so the loop calls the compiled kernels
-directly: the drive product is scipy's CSR product (sparsetools
-csr_matvec) on arrays bound once per matvec, which returns a new array;
-the recurrence updates it in place with BLAS level 1 (zaxpy, zdotc); and
-the small tridiagonal is solved by LAPACK dstev.
+directly.  The drive product returns a new array.  In a space of at most
+KRYLOV_MAX_DIM rows, one a Lanczos basis can fill, it is one BLAS matrix
+product with a dense H built once per step (SampledEvolution.matvec_at);
+above that it is scipy's CSR product (sparsetools csr_matvec) on arrays
+bound once per matvec.  The recurrence updates the product in place with
+BLAS level 1 (zaxpy, zdotc), and the small tridiagonal is solved by
+LAPACK dstev.
 The same Lanczos loop gives dense output under a constant generator:
 one basis yields exp(-i t H) v at every requested time it reaches, and a
 single step is its one-time case.  Independent runs on one step grid
@@ -124,17 +127,20 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     dim = vec.size
     max_dim = min(max_dim, dim)
     v = np.empty((max_dim, dim), dtype=complex)
-    np.divide(vec, nrm, out=v[0])
     alpha = np.empty(max_dim)
     beta = np.empty(max_dim)
+    # Views of the current and previous basis rows, carried from one
+    # iteration to the next instead of indexing v again.
+    v_prev, v_j = None, v[0]
+    np.divide(vec, nrm, out=v_j)
     for j in range(max_dim):
         # f2py copies a w that is not contiguous complex128, so each
         # update keeps the array zaxpy returns.
-        w = matvec(v[j])
+        w = matvec(v_j)
         if j:
-            w = _zaxpy(v[j - 1], w, a=-b)
-        a = alpha[j] = _zdotc(v[j], w).real
-        w = _zaxpy(v[j], w, a=-a)
+            w = _zaxpy(v_prev, w, a=-b)
+        a = alpha[j] = _zdotc(v_j, w).real
+        w = _zaxpy(v_j, w, a=-a)
         b = beta[j] = math.sqrt(_zdotc(w, w).real)
         m = j + 1
         if m >= start_check or b < 1e-14 or m == max_dim:
@@ -143,7 +149,8 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
             converged = abs_last * b * abs(u[-1]) <= tol or b < 1e-14
             if converged or m == max_dim:
                 break
-        np.divide(w, b, out=v[j + 1])
+        v_prev, v_j = v_j, v[m]
+        np.divide(w, b, out=v_j)
     if len(times) == 1:
         n_met, rows = int(converged), u[None, :]
     else:
@@ -232,9 +239,11 @@ class SampledEvolution:
     excitations) so that repeated pulse evaluations (optimization loops)
     skip the setup cost; lowest_spectrum reads the same pieces.  The
     coupling is a CSR matrix with complex values (its index arrays shared
-    with the one given), so no product converts it.  Works on a full Basis
-    or, when the coupling and every diagonal term are reflection symmetric,
-    on a SymmetrizedBasis: the one place the pieces are reduced into a sector.
+    with the one given), so no product converts it; an engine small enough
+    for the dense product (see matvec_at) also keeps it dense.  Works on a
+    full Basis or, when the coupling and every diagonal term are reflection
+    symmetric, on a SymmetrizedBasis: the one place the pieces are reduced
+    into a sector.
     K pulses that share a step grid run as one evolution of the direct sum
     of K copies (see run); _direct_sum builds such a sum with one static
     diagonal per copy, and running one pulse on it evolves K Hamiltonians
@@ -272,9 +281,32 @@ class SampledEvolution:
         real.data = np.ascontiguousarray(real.data)
         return real
 
+    @cached_property
+    def _dense_coupling(self):
+        """The coupling as a dense complex array, made once per engine."""
+        return self.coupling.toarray()
+
     def matvec_at(self, omega_rad, delta_rad):
-        return drive_matvec(self.coupling, omega_rad,
-                            self.static_diag - delta_rad * self.excitations)
+        """x -> H(omega, delta) x, as a function that returns a new array.
+
+        omega and delta may be scalars or per-row arrays (a direct sum's).
+        Up to KRYLOV_MAX_DIM rows, a space a Lanczos basis can fill, H is
+        built dense here and each product is one BLAS call, h.dot: call
+        dispatch, not arithmetic, sets the cost at these sizes.  Above it
+        each product is drive_matvec's CSR product, whose work grows with
+        the nonzeros, not the rows squared.  The two break even between 76
+        and 89 rows, so the Lanczos cap serves as the threshold; like the
+        cap, it is read at call time.
+        """
+        diag = self.static_diag - delta_rad * self.excitations
+        dim = diag.size
+        if dim > KRYLOV_MAX_DIM:
+            return drive_matvec(self.coupling, omega_rad, diag)
+        if isinstance(omega_rad, np.ndarray):
+            omega_rad = omega_rad[..., None]  # per-row omega scales rows
+        h = self._dense_coupling * omega_rad
+        h.reshape(-1)[::dim + 1] += diag
+        return h.dot
 
     def _direct_sum(self, static_diags):
         """The engine of K uncoupled copies of this one, copy k with the

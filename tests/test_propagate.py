@@ -440,6 +440,90 @@ def test_stacked_run_matches_single_runs_on_a_full_basis():
         assert np.abs(row - engine.run(start, pulse, dt=0.002)).max() <= 1e-10
 
 
+class TestProductThreshold:
+    """Engines of at most KRYLOV_MAX_DIM rows take the dense product, larger
+    ones drive_matvec's CSR product; both match the dense oracle."""
+
+    @pytest.fixture
+    def csr_products(self, monkeypatch):
+        made = []
+        csr = propagate.drive_matvec
+
+        def counted(*args):
+            made.append(1)
+            return csr(*args)
+
+        monkeypatch.setattr(propagate, "drive_matvec", counted)
+        return made
+
+    def test_stack_under_the_threshold_matches_its_single_runs(self, csr_products):
+        # Three pulses in the N=6 even sector: 36 stacked rows, so the
+        # per-row omega and delta arrays scale the dense coupling's rows.
+        # The stack and the single runs differ by their Krylov truncation,
+        # which grows with the number of steps on either product (2.2e-12
+        # after 150 steps), so the pulses take 50.
+        basis = enumerate_basis(ChainGeometry(6))
+        even = symmetry_sector(basis, "even")
+        engine = SampledEvolution(even, build_terms(basis), LocalShifts.preparation_default(6))
+        assert even.dim == 12 and 3 * even.dim <= propagate.KRYLOV_MAX_DIM
+        start = even.to_sector(ground_state(basis).amplitudes)
+        pulses = [_random_crab_pulse(0.1, seed=s) for s in (21, 22, 23)]
+        stacked = engine.run(start, pulses, dt=0.002)
+        rows = [engine.run(start, pulse, dt=0.002) for pulse in pulses]
+        assert not csr_products
+        assert np.abs(stacked - rows[0]).max() > 1e-3  # the pulses differ
+        for row, single in zip(stacked, rows):
+            assert np.abs(row - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_sites, sector", [(8, True), (9, False)])
+    def test_single_run_matches_the_dense_oracle(self, csr_products, n_sites, sector):
+        basis = enumerate_basis(ChainGeometry(n_sites))
+        shifts = LocalShifts.preparation_default(n_sites)
+        space = symmetry_sector(basis, "even") if sector else basis
+        assert space.dim == (30 if sector else 89)
+        engine = SampledEvolution(space, build_terms(basis), shifts)
+        pulse = _random_crab_pulse(0.4, seed=n_sites)
+        start = ground_state(basis).amplitudes
+        got = engine.run(space.to_sector(start) if sector else start, pulse, dt=0.002)
+        if sector:
+            got = space.from_sector(got)
+        ref = dense_evolve(basis, pulse, shifts.as_array(), start, dt=0.002)
+        assert np.abs(got - ref).max() <= 1e-10
+        # One CSR product per step above the threshold, none below it.
+        assert len(csr_products) == (0 if sector else 200)
+
+
+def test_run_takes_every_step_and_product_through_the_traced_hooks(monkeypatch):
+    # A tracer counts Krylov steps by rebinding propagate.krylov_expm_apply,
+    # and products by wrapping the ones SampledEvolution.matvec_at hands out.
+    steps, handed_out, products = [], [], []
+    apply, matvec_at = propagate.krylov_expm_apply, SampledEvolution.matvec_at
+
+    def counted_apply(*args, **kwargs):
+        out, m = apply(*args, **kwargs)
+        steps.append(m)
+        return out, m
+
+    def counted_matvec_at(self, omega_rad, delta_rad):
+        inner = matvec_at(self, omega_rad, delta_rad)
+        handed_out.append(1)
+
+        def matvec(x):
+            products.append(1)
+            return inner(x)
+
+        return matvec
+
+    monkeypatch.setattr(propagate, "krylov_expm_apply", counted_apply)
+    monkeypatch.setattr(SampledEvolution, "matvec_at", counted_matvec_at)
+    basis = enumerate_basis(ChainGeometry(4))
+    engine = SampledEvolution(basis, build_terms(basis), LocalShifts.preparation_default(4))
+    engine.run(ground_state(basis).amplitudes, standard_guess_pulse(0.05), dt=0.001)
+    assert len(steps) == len(handed_out) == 50
+    # Every Lanczos vector costs one product, each from matvec_at.
+    assert len(products) == sum(steps) > 50
+
+
 def test_one_pulse_stack_is_the_single_run_bit_for_bit():
     basis = enumerate_basis(ChainGeometry(6))
     terms = build_terms(basis)
