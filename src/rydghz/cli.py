@@ -629,7 +629,6 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="JSON file with defaults for the chosen subcommand")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sub = subparsers.add_parser("optimize", help="dressed randomized-basis pulse search")
     _add_chain_flags(sub)
@@ -644,14 +643,12 @@ def build_parser():
     sub.add_argument("--omega-max", type=float, default=5.0)
     sub.add_argument("--delta-start", type=float, default=-20.0)
     sub.add_argument("--delta-stop", type=float, default=20.0)
-    registry["optimize"] = sub
 
     sub = subparsers.add_parser("evolve", help="propagate a pulse or reference ramp")
     _add_chain_flags(sub)
     sub.add_argument("--pulse", default=None, help="pulse JSON file")
     sub.add_argument("--ramp", choices=("linear", "local_adiabatic"), default=None)
     sub.add_argument("--total-time", type=float, default=1.1)
-    registry["evolve"] = sub
 
     sub = subparsers.add_parser("parity-scan",
                                 help="parity oscillations and the coherence bound")
@@ -666,7 +663,6 @@ def build_parser():
     sub.add_argument("--p10", type=float, default=0.0063)
     sub.add_argument("--p01", type=float, default=0.0227)
     sub.add_argument("--bootstrap", type=int, default=200)
-    registry["parity-scan"] = sub
 
     sub = subparsers.add_parser("infer", help="detection-corrected group inference")
     sub.add_argument("--shots", required=True, help="shot file (bitstring lines)")
@@ -676,10 +672,9 @@ def build_parser():
                      help="use a perfect detection model")
     sub.add_argument("--p10", type=float, default=0.0063)
     sub.add_argument("--p01", type=float, default=0.0227)
-    sub.add_argument("--p10-sigma", type=float, default=0.0002)
-    sub.add_argument("--p01-sigma", type=float, default=0.0007)
+    sub.add_argument("--p10-sigma", type=float, default=0.0001)
+    sub.add_argument("--p01-sigma", type=float, default=0.0042)
     sub.add_argument("--bootstrap", type=int, default=200)
-    registry["infer"] = sub
 
     sub = subparsers.add_parser("ramp-compare",
                                 help="fidelity versus duration for ramp families")
@@ -692,7 +687,6 @@ def build_parser():
     sub.add_argument("--super-iterations", type=int, default=2,
                      help="optimal_control budget per duration")
     sub.add_argument("--max-evaluations", type=int, default=60)
-    registry["ramp-compare"] = sub
 
     sub = subparsers.add_parser("bell-distribute",
                                 help="edge Bell-pair conversion and readout")
@@ -701,7 +695,6 @@ def build_parser():
                      help="'ideal-ghz' or a forward pulse JSON file")
     sub.add_argument("--reverse-time", type=float, default=1.2)
     sub.add_argument("--edge-shift", type=float, default=6.0)
-    registry["bell-distribute"] = sub
 
     sub = subparsers.add_parser("decay-scan",
                                 help="held-coherence decay under quenched Doppler")
@@ -712,7 +705,6 @@ def build_parser():
     sub.add_argument("--realizations", type=int, default=512)
     sub.add_argument("--t-max", type=float, default=None)
     sub.add_argument("--points", type=int, default=41)
-    registry["decay-scan"] = sub
 
     sub = subparsers.add_parser("trace-eigenpop",
                                 help="instantaneous eigenpopulations along a pulse")
@@ -720,12 +712,11 @@ def build_parser():
     sub.add_argument("--pulse", required=True, help="pulse JSON file")
     sub.add_argument("--m", type=int, default=8, help="levels to track")
     sub.add_argument("--n-times", type=int, default=41)
-    registry["trace-eigenpop"] = sub
 
-    return parser, registry
+    return parser, subparsers.choices
 
 
-def _apply_config_file(parser, registry, args, argv):
+def _apply_config_file(parser, subcommands, args, argv):
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             overrides = json.load(handle)
@@ -736,7 +727,7 @@ def _apply_config_file(parser, registry, args, argv):
         parser.error(f"config file {args.config}: {exc}")
     if not isinstance(overrides, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
-    sub = registry[args.command]
+    sub = subcommands[args.command]
     valid = {action.dest for action in sub._actions}
     defaults = {}
     for key, value in overrides.items():
@@ -751,10 +742,10 @@ def _apply_config_file(parser, registry, args, argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    parser, registry = build_parser()
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        args = _apply_config_file(parser, registry, args, argv)
+        args = _apply_config_file(parser, subcommands, args, argv)
 
     try:
         _apply_threads(args.threads)

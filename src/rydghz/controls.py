@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import stable_json
 from .units import TWO_PI, mhz_to_angular
 
 OMEGA_MAX_DEFAULT_MHZ = 5.0
@@ -36,7 +37,7 @@ class Waveform:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in ("constant", "cos12_plateau", "linear", "tabulated"):
+        if self.kind not in ("cos12_plateau", "linear", "tabulated"):
             raise ValidationError(f"unknown waveform kind {self.kind!r}")
         if self.kind == "tabulated":
             times = np.asarray(self.params["times"], dtype=float)
@@ -47,9 +48,7 @@ class Waveform:
 
     def __call__(self, t, tau):
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = np.full(t.shape, float(self.params["value"]))
-        elif self.kind == "cos12_plateau":
+        if self.kind == "cos12_plateau":
             out = float(self.params["amplitude"]) * (1.0 - np.cos(np.pi * t / tau) ** 12)
         elif self.kind == "linear":
             start, stop = float(self.params["start"]), float(self.params["stop"])
@@ -187,7 +186,7 @@ class Pulse:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return stable_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data):

@@ -186,27 +186,35 @@ def _binomial_count_confusion(n_slots, p10, p01):
 
 
 class ExcitationGrouping:
-    """Group configurations by total excitation number k = 0..N."""
+    """Group configurations by total excitation number k = 0..N.
+
+    Shots and states are grouped by one bits -> group map, _groups_of_bits,
+    and parity signs follow group_excitations, the k of each group; a finer
+    grouping overrides these, its labels, confusion and target groups.
+    """
 
     def __init__(self, n_sites):
         self.n_sites = n_sites
+        self.group_excitations = np.arange(n_sites + 1)
         self.n_groups = n_sites + 1
+
+    def _groups_of_bits(self, bits):
+        """Group index of each row of a (rows, n_sites) 0/1 array."""
+        return bits.sum(axis=1).astype(np.int64)
 
     def labels(self):
         return [f"k={k}" for k in range(self.n_groups)]
 
     def parity_signs(self):
-        k = np.arange(self.n_groups)
+        k = self.group_excitations
         return np.where((self.n_sites - k) % 2 == 0, 1.0, -1.0)
 
     def group_of_shots(self, shots):
-        return shots.excitation_counts()
+        return self._groups_of_bits(shots.bits)
 
     def distribution_of_state(self, psi):
-        basis = psi.space
-        return np.bincount(
-            basis.excitations, weights=psi.populations(), minlength=self.n_groups
-        )
+        groups = self._groups_of_bits(psi.space.bits_matrix())
+        return np.bincount(groups, weights=psi.populations(), minlength=self.n_groups)
 
     def observed_distribution(self, shots):
         counts = np.bincount(self.group_of_shots(shots), minlength=self.n_groups)
@@ -222,7 +230,7 @@ class ExcitationGrouping:
         return self.n_sites // 2
 
 
-class MagnetizationExcitationGrouping:
+class MagnetizationExcitationGrouping(ExcitationGrouping):
     """Group by (excitation number k, staggered magnetization M) jointly.
 
     For even chains the pair (k, M) is equivalent to the per-sublattice
@@ -247,6 +255,7 @@ class MagnetizationExcitationGrouping:
                 pairs.append((k, m, k_odd, k_even))
         pairs.sort(key=lambda t: (t[0], t[1]))
         self.groups = [(k, m) for k, m, _, _ in pairs]
+        self.group_excitations = np.array([k for k, _ in self.groups])
         self.n_groups = len(self.groups)
         self._sub_index = np.full((self.half + 1, self.half + 1), -1, dtype=np.int64)
         for g, (_, _, k_odd, k_even) in enumerate(pairs):
@@ -257,31 +266,13 @@ class MagnetizationExcitationGrouping:
         self._odd_grid = np.ix_(k_odd, k_odd)
         self._even_grid = np.ix_(k_even, k_even)
 
-    def labels(self):
-        return [f"k={k},M={m:+d}" for k, m in self.groups]
-
-    def parity_signs(self):
-        return np.array([1.0 if (self.n_sites - k) % 2 == 0 else -1.0
-                         for k, _ in self.groups])
-
-    def _sublattice_counts_from_bits(self, bits):
+    def _groups_of_bits(self, bits):
         k_odd = bits[:, 0::2].sum(axis=1).astype(np.int64)
         k_even = bits[:, 1::2].sum(axis=1).astype(np.int64)
-        return k_odd, k_even
-
-    def group_of_shots(self, shots):
-        k_odd, k_even = self._sublattice_counts_from_bits(shots.bits)
         return self._sub_index[k_odd, k_even]
 
-    def distribution_of_state(self, psi):
-        basis = psi.space
-        k_odd, k_even = self._sublattice_counts_from_bits(basis.bits_matrix())
-        groups = self._sub_index[k_odd, k_even]
-        return np.bincount(groups, weights=psi.populations(), minlength=self.n_groups)
-
-    def observed_distribution(self, shots):
-        counts = np.bincount(self.group_of_shots(shots), minlength=self.n_groups)
-        return counts / shots.n_shots
+    def labels(self):
+        return [f"k={k},M={m:+d}" for k, m in self.groups]
 
     def confusion(self, model):
         t = _binomial_count_confusion(self.half, model.p10, model.p01)

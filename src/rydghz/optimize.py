@@ -255,10 +255,6 @@ class PreparationSimulator:
         self.space = self.engine.space
         self.initial = start if self.space is terms.basis else self.space.to_sector(start)
 
-    @property
-    def n_sites(self):
-        return self.terms.basis.geometry.n_sites
-
     def final_state(self, pulse):
         amps = self.engine.run(self.initial, pulse, dt=self.dt)
         return StateVector(self.space, amps)

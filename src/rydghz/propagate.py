@@ -96,8 +96,7 @@ def ghz_state(basis, phi=0.0):
     return StateVector(basis, amps)
 
 
-def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
-                        start_check=3):
+def krylov_dense_output(matvec, vec, times, start_check=3):
     """exp(-1j*t*H) @ vec at the leading `times` one Lanczos basis reaches.
 
     Lanczos for Hermitian H given through `matvec`, which must return a
@@ -111,13 +110,14 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     calls (zaxpy, zdotc) on w in place, and the small tridiagonal is
     solved by LAPACK dstev.  The basis grows until the last of `times`
     (any order or sign) meets the a-posteriori estimate
-    |t| * beta_m * |u_m(t)| <= `tol` (relative to |vec|), or until
-    `max_dim` vectors; convergence is first checked at `start_check`
-    vectors.  Returns (basis, coeffs): the m basis vectors as rows and one
-    row of m coefficients for each leading time whose estimate meets
-    `tol`, so the state at times[k] is coeffs[k] @ basis (Park & Light,
-    J. Chem. Phys. 85, 5870 (1986)).  When not even times[0] meets `tol`,
-    or dstev fails, PropagationError is raised.
+    |t| * beta_m * |u_m(t)| <= KRYLOV_TOL (relative to |vec|), or until
+    KRYLOV_MAX_DIM vectors; both are read at call time.  Convergence is
+    first checked at `start_check` vectors.  Returns (basis, coeffs): the
+    m basis vectors as rows and one row of m coefficients for each leading
+    time whose estimate meets the tolerance, so the state at times[k] is
+    coeffs[k] @ basis (Park & Light, J. Chem. Phys. 85, 5870 (1986)).
+    When not even times[0] meets it, or dstev fails, PropagationError is
+    raised.
     """
     nrm = math.sqrt(np.vdot(vec, vec).real)
     if nrm == 0.0:
@@ -125,7 +125,7 @@ def krylov_dense_output(matvec, vec, times, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_D
     t_last = times[-1]
     abs_last = abs(t_last)
     dim = vec.size
-    max_dim = min(max_dim, dim)
+    tol, max_dim = KRYLOV_TOL, min(KRYLOV_MAX_DIM, dim)
     v = np.empty((max_dim, dim), dtype=complex)
     alpha = np.empty(max_dim)
     beta = np.empty(max_dim)
@@ -178,16 +178,12 @@ def _tridiagonal_eigh(alpha, beta, m):
     return evals, q
 
 
-def krylov_expm_apply(matvec, vec, dt, tol=KRYLOV_TOL, max_dim=KRYLOV_MAX_DIM,
-                      start_check=3):
+def krylov_expm_apply(matvec, vec, dt, start_check=3):
     """exp(-1j*dt*H) @ vec: the one-time case of krylov_dense_output.
 
     dt may be negative (backward in time).  Returns (result, krylov_dim).
     """
-    if dt == 0.0:
-        return vec.astype(complex, copy=True), 0
-    basis, coeffs = krylov_dense_output(matvec, vec, (dt,), tol=tol, max_dim=max_dim,
-                                        start_check=start_check)
+    basis, coeffs = krylov_dense_output(matvec, vec, (dt,), start_check=start_check)
     return coeffs[0] @ basis, basis.shape[0]
 
 
@@ -267,7 +263,6 @@ class SampledEvolution:
             self.coupling = sparse.csr_matrix(coupling, dtype=complex)
             self.static_diag = terms.static_diagonal(shifts)
             self.excitations = terms.excitations
-        self._direct_sums = {}
 
     @cached_property
     def solver_coupling(self):
@@ -312,8 +307,7 @@ class SampledEvolution:
         """The engine of K uncoupled copies of this one, copy k with the
         static diagonal static_diags[k]: a block-diagonal coupling and
         stacked diagonals, so one stacked vector of K * dim rows carries K
-        states, and scalar or per-row omega and delta arrays drive them.
-        Nothing is kept; run keeps the pulse stack's sums per K."""
+        states, and scalar or per-row omega and delta arrays drive them."""
         k = len(static_diags)
         coupling, dim = self.coupling, self.coupling.shape[0]
         # The arrays sparse.block_diag would give, without its COO round trip.
@@ -327,7 +321,6 @@ class SampledEvolution:
         )
         engine.static_diag = np.concatenate(static_diags)
         engine.excitations = np.tile(self.excitations, k)
-        engine._direct_sums = {}
         return engine
 
     def run(self, amplitudes, pulse, dt=DEFAULT_DT_US, observer=None, observer_stride=1):
@@ -336,13 +329,13 @@ class SampledEvolution:
         `pulse` may be a sequence of K pulses instead.  They must share one
         step grid (the same number of steps of the same length; anything
         else raises ValidationError) and run as one evolution of the direct
-        sum of K copies of this engine (kept per K), each copy driven by its
-        own pulse's controls: one Krylov step per dt advances all K states
-        from the one start `amplitudes`.  The result, like the observer's
-        argument, is then a (K, dim) array.  A one-pulse sequence takes the
-        single-pulse path, bit for bit.  On an engine from _direct_sum, one
-        pulse drives every copy from a stacked start of K * dim amplitudes,
-        and the result is the stacked vector.  Either way the Krylov
+        sum of K copies of this engine, each copy driven by its own pulse's
+        controls: one Krylov step per dt advances all K states from the one
+        start `amplitudes`.  The result, like the observer's argument, is
+        then a (K, dim) array.  A one-pulse sequence takes the single-pulse
+        path, bit for bit.  On an engine from _direct_sum, one pulse drives
+        every copy from a stacked start of K * dim amplitudes, and the
+        result is the stacked vector.  Either way the Krylov
         tolerance applies to the stacked vector's norm, sqrt(K) for unit
         starts, so a step's error in any one copy is at most
         KRYLOV_TOL * sqrt(K).
@@ -364,16 +357,12 @@ class SampledEvolution:
         if grid is None:
             return amps.reshape(shape)
         n_steps, h = grid
-        # Read once per run, outside the step loop.
-        tol, max_dim = KRYLOV_TOL, KRYLOV_MAX_DIM
         samples = [p.sample((np.arange(n_steps) + 0.5) * h) for p in pulses]
         if k == 1:
             engine = self
             controls = zip(samples[0][0].tolist(), samples[0][1].tolist())
         else:
-            engine = self._direct_sums.get(k)
-            if engine is None:
-                engine = self._direct_sums[k] = self._direct_sum([self.static_diag] * k)
+            engine = self._direct_sum([self.static_diag] * k)
             omegas = np.array([omega for omega, _ in samples]).T
             deltas = np.array([delta for _, delta in samples]).T
             controls = (
@@ -384,9 +373,7 @@ class SampledEvolution:
         for step, (omega, delta) in enumerate(controls):
             matvec = engine.matvec_at(omega, delta)
             try:
-                amps, m = krylov_expm_apply(
-                    matvec, amps, h, tol=tol, max_dim=max_dim, start_check=start_check,
-                )
+                amps, m = krylov_expm_apply(matvec, amps, h, start_check=start_check)
             except PropagationError as exc:
                 raise PropagationError(str(exc), step_index=step) from None
             start_check = max(3, m - 1)

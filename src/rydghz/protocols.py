@@ -118,8 +118,6 @@ class _ConstantDrive:
     Every rotation is one Krylov dense-output walk (see _walk): rotate
     carries each column of a block alone through the stop times h*k of
     step_grid(tau, dt), and overlap_curve reads a whole ascending time grid.
-    Krylov settings are read from the propagate module at call time, as
-    SampledEvolution.run reads them.
     """
 
     def __init__(self, matvec):
@@ -144,11 +142,10 @@ class _ConstantDrive:
         A gap between neighbouring times that no basis of KRYLOV_MAX_DIM
         vectors reaches raises PropagationError.
         """
-        tol, max_dim = propagate.KRYLOV_TOL, propagate.KRYLOV_MAX_DIM
         done, now = 0, 0.0
         while done < times.size:
-            parts = [propagate.krylov_dense_output(self.matvec, s, times[done:] - now,
-                                                   tol=tol, max_dim=max_dim) for s in states]
+            parts = [propagate.krylov_dense_output(self.matvec, s, times[done:] - now)
+                     for s in states]
             n = min(coeffs.shape[0] for _, coeffs in parts)
             if visit is not None:
                 visit(done, [(basis, coeffs[:n]) for basis, coeffs in parts])

@@ -226,8 +226,8 @@ def constant_pulse(tau, omega_mhz):
 
     return Pulse(
         tau=tau,
-        guess_omega=Waveform("constant", {"value": omega_mhz}),
-        guess_delta=Waveform("constant", {"value": 0.0}),
+        guess_omega=Waveform("linear", {"start": omega_mhz, "stop": omega_mhz}),
+        guess_delta=Waveform("linear", {"start": 0.0, "stop": 0.0}),
         omega_bounds=(0.0, max(omega_mhz, 5.0)),
     )
 

@@ -1,13 +1,15 @@
 """Command-line behavior: artifacts, manifests, exit codes, config files."""
 
+import dataclasses
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from rydghz import optimize
-from rydghz.cli import main
+from rydghz import controls, detection, hamiltonian, noise, optimize, propagate, protocols
+from rydghz.cli import build_parser, main
 from rydghz.controls import Pulse
 from rydghz.fileio import TableData, sha256_of_file
 from rydghz.manifest import RunManifest
@@ -391,3 +393,56 @@ class TestGlobalFlags:
         monkeypatch.setattr(optimize, "MINRES_MAX_ITER", 1)
         assert run("--out-dir", outroot / "minres", "evolve", "--n-sites", 4,
                    "--ramp", "local_adiabatic") == 3
+
+
+def _field(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+def _parameter(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_CHAIN_COMMANDS = ("optimize", "evolve", "parity-scan", "ramp-compare",
+                   "bell-distribute", "trace-eigenpop")
+
+# (command, option dest, the library default it restates).  The command
+# line imports no numerical module before --threads, so it keeps literals.
+RESTATED_DEFAULTS = [
+    *((command, "v_nn", hamiltonian.V_NN_DEFAULT_MHZ) for command in _CHAIN_COMMANDS),
+    *((command, "dt", propagate.DEFAULT_DT_US) for command in _CHAIN_COMMANDS),
+    ("optimize", "fom", _field(optimize.FigureOfMerit, "kind")),
+    ("optimize", "phase", _field(optimize.FigureOfMerit, "phase")),
+    ("optimize", "super_iterations", _field(optimize.DcrabConfig, "super_iterations")),
+    ("optimize", "max_evaluations", _field(optimize.DcrabConfig, "max_evaluations")),
+    ("optimize", "simplex_scale", _field(optimize.DcrabConfig, "simplex_scale_mhz")),
+    ("optimize", "fom_tolerance", _field(optimize.DcrabConfig, "fom_tolerance")),
+    ("optimize", "omega_max", _field(optimize.RampSpec, "omega_max_mhz")),
+    ("optimize", "omega_max", controls.OMEGA_MAX_DEFAULT_MHZ),
+    ("optimize", "delta_start", _field(optimize.RampSpec, "delta_start_mhz")),
+    ("optimize", "delta_stop", _field(optimize.RampSpec, "delta_stop_mhz")),
+    ("parity-scan", "n_times", _parameter(protocols.parity_oscillation_scan, "n_times")),
+    *((command, option, value)
+      for command in ("parity-scan", "infer")
+      for option, value in (
+          ("p10", detection.P10_DEFAULT),
+          ("p01", detection.P01_DEFAULT),
+          ("bootstrap", _parameter(detection.bootstrap_uncertainty, "n_resamples")),
+      )),
+    ("infer", "p10_sigma", detection.P10_UNCERTAINTY_DEFAULT),
+    ("infer", "p01_sigma", detection.P01_UNCERTAINTY_DEFAULT),
+    ("bell-distribute", "edge_shift",
+     _parameter(protocols.bell_distribution_protocol, "edge_shift_mhz")),
+    ("decay-scan", "doppler_sigma", _field(noise.NoiseModel, "doppler_sigma_mhz")),
+    ("decay-scan", "scattering_time", _field(noise.NoiseModel, "scattering_time_us")),
+    ("decay-scan", "rydberg_lifetime", _field(noise.NoiseModel, "rydberg_lifetime_us")),
+    ("trace-eigenpop", "m", _parameter(optimize.eigenpopulation_trace, "m")),
+    ("trace-eigenpop", "n_times", _parameter(optimize.eigenpopulation_trace, "n_times")),
+]
+
+
+@pytest.mark.parametrize("command,option,library", RESTATED_DEFAULTS,
+                         ids=[f"{c}-{o}" for c, o, _ in RESTATED_DEFAULTS])
+def test_cli_default_matches_the_library_default_it_restates(command, option, library):
+    _, subcommands = build_parser()
+    assert subcommands[command].get_default(option) == library

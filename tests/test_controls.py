@@ -135,13 +135,15 @@ def test_constant_and_tabulated_builders():
 def test_waveform_validation():
     with pytest.raises(ValidationError):
         Waveform("mystery", {})
+    with pytest.raises(ValidationError):  # a linear waveform with start == stop
+        Waveform("constant", {"value": 1.0})
     with pytest.raises(ValidationError):
         Waveform("tabulated", {"times": [0.0, 0.0, 1.0], "values": [1, 2, 3]})
     with pytest.raises(ValidationError):
         Pulse(
             tau=-1.0,
-            guess_omega=Waveform("constant", {"value": 1.0}),
-            guess_delta=Waveform("constant", {"value": 0.0}),
+            guess_omega=Waveform("linear", {"start": 1.0, "stop": 1.0}),
+            guess_delta=Waveform("linear", {"start": 0.0, "stop": 0.0}),
         )
 
 

@@ -214,6 +214,47 @@ class TestJointGrouping:
         assert np.all(np.abs(observed - predicted) < 3.5 * sigma + 5e-4)
 
 
+@pytest.mark.parametrize("n_sites", [4, 8, 12])
+class TestJointGroupingMarginalizes:
+    """Summing the (k, M) grouping over M gives the k grouping."""
+
+    @staticmethod
+    def _groupings(n_sites):
+        joint = MagnetizationExcitationGrouping(n_sites)
+        # marginal[k, g] = 1 when joint group g has k excitations
+        marginal = np.zeros((n_sites + 1, joint.n_groups))
+        for g, (k, _) in enumerate(joint.groups):
+            marginal[k, g] = 1.0
+        return joint, ExcitationGrouping(n_sites), marginal
+
+    @staticmethod
+    def _random_state(n_sites):
+        basis = enumerate_basis(ChainGeometry(n_sites))
+        rng = np.random.default_rng(n_sites)
+        amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        return StateVector(basis, amps / np.linalg.norm(amps))
+
+    def test_confusion_columns(self, n_sites):
+        joint, counts, marginal = self._groupings(n_sites)
+        for model in (DetectionModel(), DetectionModel(p10=0.21, p01=0.37)):
+            summed = marginal @ joint.confusion(model)
+            expected = counts.confusion(model) @ marginal
+            assert np.abs(summed - expected).max() <= 1e-14
+
+    def test_distribution_of_state(self, n_sites):
+        joint, counts, marginal = self._groupings(n_sites)
+        psi = self._random_state(n_sites)
+        summed = marginal @ joint.distribution_of_state(psi)
+        assert np.abs(summed - counts.distribution_of_state(psi)).max() <= 1e-15
+
+    def test_observed_distribution_of_one_shot_set(self, n_sites):
+        joint, counts, marginal = self._groupings(n_sites)
+        shots = sample_shots(self._random_state(n_sites), 3000,
+                             model=DetectionModel(p10=0.05, p01=0.11), seed=n_sites)
+        summed = marginal @ joint.observed_distribution(shots)
+        assert np.abs(summed - counts.observed_distribution(shots)).max() <= 1e-15
+
+
 class TestShots:
     def test_perfect_readout_of_ghz(self):
         basis = enumerate_basis(ChainGeometry(6))

@@ -74,15 +74,22 @@ OPTIONS_SET_ONLY_BY_TESTS = {
     "hamiltonian.drive_coupling(phase)":
         "the phase-phi oracle for the Bell fringe's D U(0) D^dag shortcut",
     "optimize.diabaticity_weight(s_grid)": "the N=16 Lanczos oracle points",
+    "optimize.gate_circuit_time_estimate(omega_max_mhz)":
+        "the circuit time goes as 1/Omega; demo 06 and criterion 10 read it at "
+        "the paper's 5 MHz, tests check the scaling and refuse a zero drive",
+    "propagate.ghz_state(phi)":
+        "the relative phase of the two orderings, which the decomposition, "
+        "readout and parity-phase tests vary",
     "protocols.bell_distribution_protocol(phases)":
         "shows the fringe's cost does not grow with the number of phases",
 }
 
 
 def _public_signatures(module, tree):
-    """(label stem, callee name, {positional index: name}, keyword-only names)
-    for the optional parameters of each public module-level function and
-    each public method of a public class.  Method indices skip self/cls."""
+    """(label stem, callee name, {positional index: (name, default)},
+    {keyword-only name: default}) for the optional parameters of each public
+    module-level function and each public method of a public class, with
+    each default as source text.  Method indices skip self/cls."""
     found = []
 
     def add(qualname, fn, bound):
@@ -91,8 +98,11 @@ def _public_signatures(module, tree):
         first_optional = len(positional) - len(args.defaults)
         found.append((
             f"{module}.{qualname}", fn.name,
-            {i - bound: a.arg for i, a in enumerate(positional) if i >= first_optional},
-            {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None},
+            {i - bound: (a.arg, ast.unparse(d))
+             for i, (a, d) in enumerate(zip(positional[first_optional:], args.defaults),
+                                        start=first_optional)},
+            {a.arg: ast.unparse(d)
+             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None},
         ))
 
     for node in tree.body:
@@ -128,10 +138,11 @@ def _scoped_nodes(tree, module=None):
 
 def _calls(tree, module=None):
     """(callee name, positional sources, keyword sources) per call, matched
-    by the callee's last name.  A source is None, or for a bare parameter
-    of the enclosing function of package `module`, that parameter's
-    label: the call forwards it.  Starred arguments give None for the
-    positional sources, ** for the keyword ones: they may set anything.
+    by the callee's last name.  A source is (label, text): text is the
+    argument's source text, and label is None, or for a bare parameter of
+    the enclosing function of package `module`, that parameter's label:
+    the call forwards it.  Starred arguments give None for the positional
+    sources, ** for the keyword ones: they may set anything.
     Workload.op(label, fn, *args, **kwargs) also counts as a call of fn."""
     out = []
 
@@ -143,8 +154,8 @@ def _calls(tree, module=None):
     def record(name, args, keywords, owner):
         def source(value):
             if owner and isinstance(value, ast.Name):
-                return f"{owner}({value.id})"
-            return None
+                return f"{owner}({value.id})", ast.unparse(value)
+            return None, ast.unparse(value)
 
         if name is not None:
             out.append((
@@ -166,33 +177,37 @@ def _calls(tree, module=None):
 
 def _unset_options(definitions, calls):
     """Labels 'module.function(param)' of the optional parameters of called
-    public functions that no call sets.  A forwarded argument sets a
-    parameter only if its source is set in turn."""
+    public functions that no call sets.  An argument whose source text is
+    the parameter's own default does not set it, and a forwarded argument
+    sets a parameter only if its source is set in turn."""
     by_name = {}
     for name, positional, keywords in calls:
         by_name.setdefault(name, []).append((positional, keywords))
     options = {}
     for stem, name, positional, keyword in definitions:
-        for index, param in [*positional.items(), *((None, p) for p in keyword)]:
-            options[f"{stem}({param})"] = (name, index, param)
-    called = {label for label, (name, _, _) in options.items() if name in by_name}
+        for index, (param, default) in [*positional.items(),
+                                        *((None, item) for item in keyword.items())]:
+            options[f"{stem}({param})"] = (name, index, param, default)
+    called = {label for label, (name, *_) in options.items() if name in by_name}
     is_set = set()
 
-    def sets(source):
-        return source is None or source not in options or source in is_set
+    def sets(source, default):
+        label, text = source
+        return text != default and (label not in options or label in is_set)
 
-    def set_by(positional, keywords, index, param):
+    def set_by(positional, keywords, index, param, default):
         if positional is None or keywords is None:
             return True
-        if index is not None and index < len(positional) and sets(positional[index]):
+        if (index is not None and index < len(positional)
+                and sets(positional[index], default)):
             return True
-        return param in keywords and sets(keywords[param])
+        return param in keywords and sets(keywords[param], default)
 
     grew = True
     while grew:
         grew = False
-        for label, (name, index, param) in options.items():
-            if label not in is_set and any(set_by(p, k, index, param)
+        for label, (name, index, param, default) in options.items():
+            if label not in is_set and any(set_by(p, k, index, param, default)
                                            for p, k in by_name.get(name, ())):
                 is_set.add(label)
                 grew = True
@@ -247,6 +262,8 @@ def test_option_checker_follows_forwarding_and_op():
         "    return scale(x, offset=offset)\n"
         "def unused(x, y=1):\n"
         "    return x\n"
+        "def shift(x, by=1.0, *, scale=2.0):\n"
+        "    return x\n"
         "class Box:\n"
         "    def fit(self, data, weights=None, order=1):\n"
         "        return data\n"
@@ -255,10 +272,14 @@ def test_option_checker_follows_forwarding_and_op():
         "scale(1.0, 3.0)\n"
         "wrapper(2.0)\n"
         "w.op('label', Box().fit, [1], order=2)\n"
+        "shift(0.0, 1.0, scale=2.0)\n"
+        "shift(0.0, by=1.0, scale=2)\n"
     )
     calls = _calls(package, "m") + _calls(callers)
+    # Every call of shift passes by's own default text; scale=2 differs.
     assert _unset_options(_public_signatures("m", package), calls) == [
-        "m.Box.fit(weights)", "m.scale(clip)", "m.scale(offset)", "m.wrapper(offset)",
+        "m.Box.fit(weights)", "m.scale(clip)", "m.scale(offset)", "m.shift(by)",
+        "m.wrapper(offset)",
     ]
 
 

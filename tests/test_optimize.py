@@ -733,7 +733,6 @@ class TestPreparationSimulator:
     def test_uses_even_sector_when_symmetric(self, chain4, sim4):
         basis, _, _ = chain4
         assert sim4.space.dim == 5
-        assert sim4.n_sites == 4
 
     def test_asymmetric_shifts_fall_back_to_full_basis(self, chain4):
         basis, terms, _ = chain4
